@@ -65,7 +65,6 @@ from .ledger import (
     ApplyStatus,
     BlockReject,
     ChainState,
-    ForkDecision,
     ForkWinMsg,
     LedgerInvariantError,
     TxIndices,

@@ -21,7 +21,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core_types import (
     AccountBody,
@@ -73,6 +73,13 @@ class TxReject(Enum):
     EMPTY_OUTPUTS = "empty_outputs"
     OUTPUT_EXCEEDS_INPUT = "output_exceeds_input"
     BAD_COINBASE = "bad_coinbase"
+
+
+# Head-state verdicts after which a mempool transaction can never become
+# valid again (absent a deep reorg): its nonce or input is already used.
+DEAD_TX = frozenset(
+    {TxReject.NONCE_REUSE, TxReject.DOUBLE_SPEND, TxReject.UNKNOWN_INPUT}
+)
 
 
 @dataclass(eq=True)
@@ -289,11 +296,6 @@ class ForkWinMsg:
     sender: NodeId
 
 
-class ForkDecision(Enum):
-    KEEP_CURRENT = "keep_current"
-    SWITCH = "switch"
-
-
 @dataclass
 class ChainStats:
     applies: int = 0
@@ -369,9 +371,6 @@ class ChainState:
     def head_indices_clone(self) -> TxIndices:
         return self.head_indices().clone()
 
-    def indices_at(self, block_hash: int) -> TxIndices:
-        return self.snapshots[block_hash]
-
     def system_nonce_at(self, block_hash: int) -> int:
         return self.snapshots[block_hash].nonces.get(SYSTEM_ID, 0)
 
@@ -398,10 +397,6 @@ class ChainState:
         """Hashes of followed-chain blocks buried at least confirm_depth deep."""
         last = max(0, self.head.height - self.cfg.confirm_depth)
         return [self.main_by_height[h] for h in range(last + 1)]
-
-    def validate_transaction(self, tx: Transaction) -> "TxReject | None":
-        """Mempool-context check against the current head state."""
-        return self.head_indices().validate_tx(tx, self.scheme)
 
     # -- block admission ------------------------------------------------------
 
@@ -632,9 +627,6 @@ class ChainState:
             self.main_by_height[inserted.height] = h
             self.head = inserted
             return ApplyStatus.ACCEPTED
-        return self._recompute_main(h)
-
-    def _recompute_main(self, inserted_hash: "int | None") -> ApplyStatus:
         chain = self._follow()
         old = self.main_by_height
         new_head_hash = chain[max(chain)]
@@ -646,11 +638,7 @@ class ChainState:
                 break
         self.main_by_height = chain
         self.head = self.blocks[new_head_hash]
-        if inserted_hash is None:
-            on_main = True
-        else:
-            height = self.blocks[inserted_hash].height
-            on_main = chain.get(height) == inserted_hash
+        on_main = chain.get(inserted.height) == h
         if diverged is not None:
             self.stats.switches += 1
             self.fork_events.append((chain[diverged], new_head_hash))
@@ -658,40 +646,6 @@ class ChainState:
                 self.assert_replay_matches()
             return ApplyStatus.SWITCHED if on_main else ApplyStatus.SIDE_BRANCH
         return ApplyStatus.ACCEPTED if on_main else ApplyStatus.SIDE_BRANCH
-
-    def resolve_fork(self, fork_point: int) -> ForkDecision:
-        """Re-run the branch rule at a known fork point.
-
-        Admission already keeps the selection current, so this is an
-        idempotent re-check; it exists so message handlers can force a
-        decision after out-of-band block deliveries.
-        """
-        kids = self.children.get(fork_point)
-        if not kids or len(kids) < 2:
-            raise ValueError("not a fork point: fewer than two children")
-        old_head = self.head.block_hash
-        self._recompute_main(None)
-        if self.head.block_hash == old_head:
-            return ForkDecision.KEEP_CURRENT
-        return ForkDecision.SWITCH
-
-    def handle_fork_win(
-        self, msg: ForkWinMsg, blocks: Iterable[Block] = ()
-    ) -> list[ApplyResult]:
-        """Apply a fork-win announcement's branch blocks, oldest first.
-
-        Unknown or invalid blocks are simply rejected by the normal admission
-        path; whatever is valid joins the tree and the selection updates.
-        """
-        results = [
-            self.apply_block(b) for b in sorted(blocks, key=lambda b: b.height)
-        ]
-        first = self.blocks.get(msg.branch_first_block)
-        if first is not None:
-            kids = self.children.get(first.parent_hash, [])
-            if len(kids) >= 2:
-                self.resolve_fork(first.parent_hash)
-        return results
 
     def pop_fork_events(self) -> list[tuple[int, int]]:
         events, self.fork_events = self.fork_events, []

@@ -21,7 +21,7 @@ import json
 import random
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -55,15 +55,11 @@ from .ledger import (
     ChainState,
     ForkWinMsg,
     TxIndices,
-    TxReject,
     confirmed_conflicts,
     fund_accounts,
     fund_utxos,
 )
 from .scoring import block_score
-
-# mempool entries that can never validate again once the head rejects them
-_DEAD_TX = (TxReject.NONCE_REUSE, TxReject.DOUBLE_SPEND, TxReject.UNKNOWN_INPUT)
 from .witness import (
     Refusal,
     WitnessRequest,
@@ -122,12 +118,16 @@ class LatencySpec:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LatencySpec":
-        kind = data.get("kind", "fixed")
-        if kind == "fixed":
-            ticks = data.get("ticks", 1)
-            return cls("fixed", ticks, ticks)
-        return cls("uniform", data.get("lo", 1), data.get("hi", 1))
+    def from_dict(cls, data: object) -> "LatencySpec":
+        kind = _json_object("latency", data, ("kind", "ticks", "lo", "hi")).get(
+            "kind", "fixed"
+        )
+        if kind not in ("fixed", "uniform"):
+            raise SimConfigError("latency.kind", "must be 'fixed' or 'uniform'")
+        names = ("ticks",) if kind == "fixed" else ("lo", "hi")
+        _json_object("latency", data, ("kind", *names))
+        ticks = [_json_scalar(f"latency.{n}", data.get(n, 1), int) for n in names]
+        return cls.fixed(*ticks) if kind == "fixed" else cls.uniform(*ticks)
 
 
 class Strategy(Enum):
@@ -197,132 +197,115 @@ class SimConfig:
         self.latency.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "config_version": 1,
-            "n_nodes": self.n_nodes,
-            "adversary_fraction": self.adversary_fraction,
-            "delivery_ratio": self.delivery_ratio,
-            "latency": self.latency.to_dict(),
-            "chain": {
-                "tx_count_min": self.chain.tx_count_min,
-                "witness_m": self.chain.witness_m,
-                "confirm_depth": self.chain.confirm_depth,
-                "witness_threshold": f"{self.chain.witness_threshold:x}",
-            },
-            "tx_rate": self.tx_rate,
-            "duration": self.duration,
-            "seed": self.seed,
-            "adversary_strategy": self.adversary_strategy.value,
-            "tx_model": self.tx_model.name.lower(),
-            "scheme": self.scheme,
-            "rewards": None
-            if self.rewards is None
-            else {
-                "proposer_reward": self.rewards.proposer_reward,
-                "witness_subsidy": self.rewards.witness_subsidy,
-            },
-            "fork_win_extra": self.fork_win_extra,
-            "slot_spacing": self.slot_spacing,
-            "proposal_timeout": self.proposal_timeout,
-            "orphan_timeout": self.orphan_timeout,
-            "mempool_cap": self.mempool_cap,
-            "max_block_txs": self.max_block_txs,
-            "genesis_units": self.genesis_units,
-            "genesis_outputs": self.genesis_outputs,
-            "utxo_unit": self.utxo_unit,
-            "replay_check": self.replay_check,
-            "trace": self.trace,
-        }
+        data: dict = {"config_version": 1}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            codec = _JSON_CODECS.get(f.name)
+            data[f.name] = value if codec is None else codec[0](value)
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        known = {
-            "config_version",
-            "n_nodes",
-            "adversary_fraction",
-            "delivery_ratio",
-            "latency",
-            "chain",
-            "tx_rate",
-            "duration",
-            "seed",
-            "adversary_strategy",
-            "tx_model",
-            "scheme",
-            "rewards",
-            "fork_win_extra",
-            "slot_spacing",
-            "proposal_timeout",
-            "orphan_timeout",
-            "mempool_cap",
-            "max_block_txs",
-            "genesis_units",
-            "genesis_outputs",
-            "utxo_unit",
-            "replay_check",
-            "trace",
-        }
-        for key in data:
+    def from_dict(cls, data: object) -> "SimConfig":
+        """Decode to_dict output; a malformed key raises SimConfigError by name."""
+        if not isinstance(data, dict):
+            raise SimConfigError("config", "must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        kwargs: dict = {}
+        for key, value in data.items():
+            if key == "config_version":
+                continue
             if key not in known:
                 raise SimConfigError(key, "unknown config key")
-        kwargs: dict = {}
-        for key in (
-            "n_nodes",
-            "adversary_fraction",
-            "delivery_ratio",
-            "tx_rate",
-            "duration",
-            "seed",
-            "scheme",
-            "fork_win_extra",
-            "slot_spacing",
-            "proposal_timeout",
-            "orphan_timeout",
-            "mempool_cap",
-            "max_block_txs",
-            "genesis_units",
-            "genesis_outputs",
-            "utxo_unit",
-            "replay_check",
-            "trace",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
-        if "latency" in data:
-            kwargs["latency"] = LatencySpec.from_dict(data["latency"])
-        if "chain" in data:
-            raw = dict(data["chain"])
-            threshold = raw.get("witness_threshold", SIM_WITNESS_THRESHOLD)
-            if isinstance(threshold, str):
-                threshold = int(threshold, 16)
-            raw["witness_threshold"] = threshold
-            try:
-                kwargs["chain"] = ChainConfig(**raw)
-            except (TypeError, ValueError) as exc:
-                raise SimConfigError("chain", str(exc)) from None
-        if "adversary_strategy" in data:
-            try:
-                kwargs["adversary_strategy"] = Strategy(data["adversary_strategy"])
-            except ValueError:
-                raise SimConfigError(
-                    "adversary_strategy", f"unknown strategy {data['adversary_strategy']!r}"
-                ) from None
-        if "tx_model" in data:
-            name = str(data["tx_model"]).upper()
-            if name not in TxModel.__members__:
-                raise SimConfigError("tx_model", f"unknown model {data['tx_model']!r}")
-            kwargs["tx_model"] = TxModel[name]
-        if data.get("rewards") is not None:
-            raw = data["rewards"]
-            try:
-                kwargs["rewards"] = RewardSchedule(
-                    raw.get("proposer_reward", 0), raw.get("witness_subsidy", 0)
-                )
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise SimConfigError("rewards", str(exc)) from None
+            codec = _JSON_CODECS.get(key)
+            if codec is not None:
+                kwargs[key] = codec[1](value)
+            else:
+                kwargs[key] = _json_scalar(key, value, type(known[key].default))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
+
+
+# -- JSON codecs ---------------------------------------------------------------------
+
+
+def _json_object(key: str, data: object, names: "tuple[str, ...]") -> dict:
+    """The nested JSON object at key; every one of its keys must be in names."""
+    if not isinstance(data, dict):
+        raise SimConfigError(key, "must be a JSON object")
+    for name in data:
+        if name not in names:
+            raise SimConfigError(f"{key}.{name}", "unknown config key")
+    return data
+
+
+def _json_scalar(key: str, value: object, kind: type):
+    # JSON has one number type, so a float field also takes an integer
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise SimConfigError(key, f"must be {kind.__name__}, not {type(value).__name__}")
+
+
+def _enum_codec(key: str, cls: type[Enum]) -> tuple:
+    def decode(value: object) -> Enum:
+        name = value.upper() if isinstance(value, str) else None
+        if name not in cls.__members__:
+            choices = ", ".join(m.name.lower() for m in cls)
+            raise SimConfigError(key, f"unknown value {value!r}; one of {choices}")
+        return cls[name]
+
+    return (lambda member: member.name.lower(), decode)
+
+
+def _chain_to_json(chain: ChainConfig) -> dict:
+    return {**asdict(chain), "witness_threshold": f"{chain.witness_threshold:x}"}
+
+
+def _chain_from_json(data: object) -> ChainConfig:
+    names = tuple(f.name for f in fields(ChainConfig))
+    raw = dict(_json_object("chain", data, names))
+    threshold = raw.get("witness_threshold", SIM_WITNESS_THRESHOLD)
+    if isinstance(threshold, str):
+        try:
+            threshold = int(threshold, 16)
+        except ValueError:
+            raise SimConfigError("chain.witness_threshold", "must be hex") from None
+    raw["witness_threshold"] = threshold
+    for name, value in raw.items():
+        _json_scalar(f"chain.{name}", value, int)
+    try:
+        return ChainConfig(**raw)
+    except ValueError as exc:
+        raise SimConfigError("chain", str(exc)) from None
+
+
+def _rewards_to_json(rewards: "RewardSchedule | None") -> "dict | None":
+    return None if rewards is None else asdict(rewards)
+
+
+def _rewards_from_json(data: object) -> "RewardSchedule | None":
+    if data is None:
+        return None
+    names = tuple(f.name for f in fields(RewardSchedule))
+    raw = _json_object("rewards", data, names)
+    amounts = {
+        name: _json_scalar(f"rewards.{name}", raw.get(name, 0), int) for name in names
+    }
+    try:
+        return RewardSchedule(**amounts)
+    except ValueError as exc:
+        raise SimConfigError("rewards", str(exc)) from None
+
+
+# (encode, decode) for the SimConfig fields that are not JSON scalars; every
+# other field is written as is and type-checked against its default on reading
+_JSON_CODECS = {
+    "latency": (LatencySpec.to_dict, LatencySpec.from_dict),
+    "chain": (_chain_to_json, _chain_from_json),
+    "adversary_strategy": _enum_codec("adversary_strategy", Strategy),
+    "tx_model": _enum_codec("tx_model", TxModel),
+    "rewards": (_rewards_to_json, _rewards_from_json),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -516,45 +499,36 @@ class HonestNode:
     def on_propose_slot(self) -> None:
         if self.pending is not None:
             return
-        req = self.make_request()
+        cfg = self.sim.cfg
+        # selection doubles as mempool garbage collection
+        dead: list[int] = []
+        req = propose_block(
+            self.node_id,
+            self.state,
+            self.mempool.values(),
+            cfg.chain,
+            max_txs=cfg.max_block_txs,
+            dead=dead,
+        )
+        for tx_id in dead:
+            del self.mempool[tx_id]
         if req is None:
             return
         best = self.state.best_score_at(req.height)
         if best is not None and best < block_score(req.block):
             return  # a known competitor already wins that height
-        self.sim.report.proposals += 1
-        self.pending = _Pending(req)
         self.sim.schedule_timeout(self.index, req.block_hash)
-        self.sim.broadcast(self.index, WitnessReqMsg(req))
+        self.pending = self.float_request(req)
 
-    def make_request(self) -> "WitnessRequest | None":
-        # Selection doubles as mempool garbage collection: a transaction the
-        # head state rejects as already-used or conflicting can never become
-        # valid again (absent a deep reorg), so it is dropped for good.
-        # Not-yet-valid ones (future nonce, missing funds) are kept.
-        cfg = self.sim.cfg
-        indices = self.state.head_indices_clone()
-        taken: list[Transaction] = []
-        dead: list[int] = []
-        for tx in self.mempool.values():
-            if tx.is_coinbase():
-                dead.append(tx.tx_id)
-                continue
-            verdict = indices.validate_tx(tx, self.sim.scheme)
-            if verdict is None:
-                indices.apply_tx(tx)
-                taken.append(tx)
-                if len(taken) >= cfg.max_block_txs:
-                    break
-            elif verdict in _DEAD_TX:
-                dead.append(tx.tx_id)
-        for tx_id in dead:
-            self.mempool.pop(tx_id, None)
-        if len(taken) < cfg.chain.tx_count_min:
-            return None
-        return propose_block(
-            self.node_id, self.state, taken, cfg.chain, max_txs=cfg.max_block_txs
-        )
+    def float_request(self, req: WitnessRequest) -> _Pending:
+        """Count a proposal and broadcast it to the witnesses.
+
+        Returns the record that collects the endorsements; the caller keeps
+        it. Only self.pending expires, on a timeout the caller schedules first.
+        """
+        self.sim.report.proposals += 1
+        self.sim.broadcast(self.index, WitnessReqMsg(req))
+        return _Pending(req)
 
     # -- message handlers ------------------------------------------------------
 
@@ -570,36 +544,39 @@ class HonestNode:
         if isinstance(result, WitnessSignature):
             proposer_idx = self.sim.index_of.get(msg.req.proposer)
             if proposer_idx is not None:
-                self.sim.unicast(
+                self.sim.send(
                     self.index, proposer_idx, WitnessSigMsg(msg.req.block_hash, result)
                 )
 
     def on_witness_sig(self, msg: WitnessSigMsg) -> None:
         pending = self.pending
-        if pending is None or pending.req.block_hash != msg.block_hash:
-            return
-        pending.sigs[msg.sig.witness] = msg.sig
-        cfg = self.sim.cfg
-        if len(pending.sigs) < cfg.chain.witness_m:
-            return
-        parent_hash = pending.req.block.parent_hash
+        if pending is not None and pending.req.block_hash == msg.block_hash:
+            if self.mint_and_adopt(pending, msg.sig):
+                self.pending = None
+
+    def mint_and_adopt(self, pending: _Pending, sig: WitnessSignature) -> bool:
+        """Record an endorsement; once m are in, mint and adopt the block.
+
+        Returns True when a block was minted, so the caller can retire the
+        pending it came from.
+        """
+        pending.sigs[sig.witness] = sig
+        sim = self.sim
+        if len(pending.sigs) < sim.cfg.chain.witness_m:
+            return False
         block = mint_block(
             pending.req,
             list(pending.sigs.values()),
-            cfg.chain,
-            self.sim.scheme,
-            hooks=self.sim.hooks,
-            system_nonce=self.state.system_nonce_at(parent_hash),
+            sim.cfg.chain,
+            sim.scheme,
+            hooks=sim.hooks,
+            system_nonce=self.state.system_nonce_at(pending.req.block.parent_hash),
         )
         if block is None:
-            return
-        self.pending = None
-        self.sim.report.blocks_minted += 1
-        self.note_minted(block)
+            return False
+        sim.report.blocks_minted += 1
         self.handle_block(block)
-
-    def note_minted(self, block: Block) -> None:
-        pass
+        return True
 
     def on_block(self, msg: BlockGossip) -> None:
         self.handle_block(msg.block, pull_from=None)
@@ -607,7 +584,7 @@ class HonestNode:
     def handle_block(self, block: Block, pull_from: "int | None" = None) -> None:
         result = self.state.apply_block(block)
         if result.status is ApplyStatus.ORPHANED and pull_from is not None:
-            self.sim.unicast(self.index, pull_from, PullReq(block.parent_hash, self.index))
+            self.sim.send(self.index, pull_from, PullReq(block.parent_hash, self.index))
         if result.stored or result.reapplied_orphans:
             if self.pending is not None and self.state.height >= self.pending.req.height:
                 self.pending = None  # someone else won the height; move on
@@ -628,17 +605,11 @@ class HonestNode:
                 self.sim.broadcast(self.index, ForkWinGossip(msg))
 
     def on_fork_win(self, gossip: ForkWinGossip, from_idx: int) -> None:
-        msg = gossip.msg
-        if not self.state.has_block(msg.branch_head):
-            self.sim.unicast(self.index, from_idx, PullReq(msg.branch_head, self.index))
-            return
-        first = self.state.blocks.get(msg.branch_first_block)
-        if first is not None:
-            kids = self.state.children.get(first.parent_hash, [])
-            if len(kids) >= 2:
-                self.state.resolve_fork(first.parent_hash)
-                self.emit_fork_wins()
-                self.record_confirmations()
+        # admission keeps the followed chain current, so a known branch head
+        # needs nothing more; an unknown one is pulled from the announcer
+        head = gossip.msg.branch_head
+        if not self.state.has_block(head):
+            self.sim.send(self.index, from_idx, PullReq(head, self.index))
 
     def on_pull_req(self, msg: PullReq) -> None:
         want = self.state.blocks.get(msg.want)
@@ -652,7 +623,7 @@ class HonestNode:
             chain.append(cursor)
             cursor = self.state.blocks.get(cursor.parent_hash)
         if chain:
-            self.sim.unicast(self.index, msg.asker, PullReply(tuple(reversed(chain))))
+            self.sim.send(self.index, msg.asker, PullReply(tuple(reversed(chain))))
 
     def on_pull_reply(self, msg: PullReply) -> None:
         for block in msg.blocks:
@@ -706,7 +677,7 @@ class AdversaryNode(HonestNode):
         sig = self.sim.scheme.sign(self.secret, witness_message(req.block))
         proposer_idx = self.sim.index_of.get(req.proposer)
         if proposer_idx is not None:
-            self.sim.unicast(
+            self.sim.send(
                 self.index,
                 proposer_idx,
                 WitnessSigMsg(req.block_hash, WitnessSignature(self.node_id, sig)),
@@ -772,53 +743,32 @@ class DoubleSpendAdversary(AdversaryNode):
 class EquivocateAdversary(AdversaryNode):
     """Floats two different valid candidates for the same height at once."""
 
+    twin: "_Pending | None" = None  # the second candidate; no timeout
+
     def on_propose_slot(self) -> None:
         if self.pending is not None:
             return
-        cfg = self.sim.cfg
-        indices = self.state.head_indices_clone()
-        valid: list[Transaction] = []
-        for tx in self.mempool.values():
-            if tx.is_coinbase():
-                continue
-            if indices.validate_tx(tx, self.sim.scheme) is None:
-                indices.apply_tx(tx)
-                valid.append(tx)
-            if len(valid) > cfg.chain.tx_count_min:
-                break
-        need = cfg.chain.tx_count_min
-        if len(valid) <= need:
+        chain = self.sim.cfg.chain
+        need = chain.tx_count_min
+        req = propose_block(
+            self.node_id, self.state, self.mempool.values(), chain, max_txs=need + 1
+        )
+        if req is None or len(req.block.transactions) <= need:
             super().on_propose_slot()
             return
-        head = self.state.head
-        first = Block(head.block_hash, head.height + 1, self.node_id, tuple(valid[:need]))
-        second = Block(head.block_hash, head.height + 1, self.node_id, tuple(valid[1 : need + 1]))
-        self.sim.report.proposals += 2
-        req_a, req_b = WitnessRequest(first), WitnessRequest(second)
-        self.pending = _Pending(req_a)
-        self.twin = _Pending(req_b)
-        self.sim.schedule_timeout(self.index, req_a.block_hash)
-        self.sim.broadcast(self.index, WitnessReqMsg(req_a))
-        self.sim.broadcast(self.index, WitnessReqMsg(req_b))
+        valid = req.block.transactions
+        parent, height = req.block.parent_hash, req.height
+        first = WitnessRequest(Block(parent, height, self.node_id, valid[:need]))
+        second = WitnessRequest(Block(parent, height, self.node_id, valid[1:]))
+        self.sim.schedule_timeout(self.index, first.block_hash)
+        self.pending = self.float_request(first)
+        self.twin = self.float_request(second)
 
     def on_witness_sig(self, msg: WitnessSigMsg) -> None:
-        twin = getattr(self, "twin", None)
+        twin = self.twin
         if twin is not None and twin.req.block_hash == msg.block_hash:
-            twin.sigs[msg.sig.witness] = msg.sig
-            cfg = self.sim.cfg
-            if len(twin.sigs) >= cfg.chain.witness_m:
-                block = mint_block(
-                    twin.req,
-                    list(twin.sigs.values()),
-                    cfg.chain,
-                    self.sim.scheme,
-                    hooks=self.sim.hooks,
-                    system_nonce=self.state.system_nonce_at(twin.req.block.parent_hash),
-                )
-                if block is not None:
-                    self.twin = None
-                    self.sim.report.blocks_minted += 1
-                    self.handle_block(block)
+            if self.mint_and_adopt(twin, msg.sig):
+                self.twin = None
             return
         super().on_witness_sig(msg)
 
@@ -844,12 +794,9 @@ class InvalidPushAdversary(AdversaryNode):
         if len(txs) < cfg.chain.tx_count_min:
             return
         head = self.state.head
-        block = Block(head.block_hash, head.height + 1, self.node_id, txs)
-        req = WitnessRequest(block)
-        sim.report.proposals += 1
-        self.pending = _Pending(req)
+        req = WitnessRequest(Block(head.block_hash, head.height + 1, self.node_id, txs))
         sim.schedule_timeout(self.index, req.block_hash)
-        sim.broadcast(self.index, WitnessReqMsg(req))
+        self.pending = self.float_request(req)
 
     def build_invalid_tx(self) -> Transaction:
         sim = self.sim
@@ -863,8 +810,11 @@ class InvalidPushAdversary(AdversaryNode):
         body = UtxoBody((ghost,), (TxOutput(recipient, 1),))
         return make_transaction(sim.scheme, self.secret, self.node_id, body)
 
-    def note_minted(self, block: Block) -> None:
+    def mint_and_adopt(self, pending: _Pending, sig: WitnessSignature) -> bool:
+        if not super().mint_and_adopt(pending, sig):
+            return False
         self.sim.report.invalid_minted += 1
+        return True
 
 
 _STRATEGY_CLASS = {
@@ -951,9 +901,6 @@ class Simulator:
         if self.rng.random() < self.cfg.delivery_ratio:
             delay = self.cfg.latency.sample(self.rng)
             self._push(self._now + delay, EV_DELIVER, (target, sender, message))
-
-    def unicast(self, sender: int, target: int, message) -> None:
-        self.send(sender, target, message)
 
     def broadcast(self, sender: int, message) -> None:
         for target in range(self.cfg.n_nodes):

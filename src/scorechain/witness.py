@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
 
 from .core_types import (
     Block,
@@ -118,27 +118,40 @@ WitnessLog = MutableMapping[int, int]
 def propose_block(
     proposer: NodeId,
     state: "ChainState",
-    mempool: Sequence[Transaction],
+    mempool: Iterable[Transaction],
     cfg: ChainConfig,
     max_txs: "int | None" = None,
+    dead: "list[int] | None" = None,
 ) -> "WitnessRequest | None":
     """Stage one: pack valid, non-conflicting transactions into a candidate.
 
     Transactions are validated sequentially against the head state, so a
     conflicting pair contributes exactly one member. Returns None when fewer
     than the required minimum survive, a normal and retryable outcome.
+
+    When dead is given, the same pass appends the ids of the transactions it
+    saw that can never validate again (system transactions and ledger.DEAD_TX
+    verdicts), so the caller can drop them from its mempool. Not-yet-valid
+    ones (future nonce, missing funds) are kept.
     """
+    from .ledger import DEAD_TX  # ledger imports this module
+
     indices = state.head_indices_clone()
     cap = max_txs if max_txs is not None else max(cfg.tx_count_min, 16)
     selected: list[Transaction] = []
     for tx in mempool:
         if tx.is_coinbase():
+            if dead is not None:
+                dead.append(tx.tx_id)
             continue
-        if indices.validate_tx(tx, state.scheme) is None:
+        verdict = indices.validate_tx(tx, state.scheme)
+        if verdict is None:
             indices.apply_tx(tx)
             selected.append(tx)
             if len(selected) >= cap:
                 break
+        elif dead is not None and verdict in DEAD_TX:
+            dead.append(tx.tx_id)
     if len(selected) < cfg.tx_count_min:
         return None
     head = state.head

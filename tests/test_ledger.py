@@ -26,8 +26,6 @@ from scorechain.ledger import (
     ApplyStatus,
     BlockReject,
     ChainState,
-    ForkDecision,
-    ForkWinMsg,
     LedgerInvariantError,
     TxReject,
     confirmed_conflicts,
@@ -465,6 +463,14 @@ def test_long_branch_overrides_score_at_confirm_depth():
     assert result.status is ApplyStatus.SWITCHED
     assert state.head is tail[1]  # length 3 >= confirm_depth: longest wins
 
+    # the branch's blocks in any order reach the same head
+    shuffled = fresh_state(parties)
+    shuffled.apply_block(winner)
+    assert shuffled.apply_block(tail[1]).status is ApplyStatus.ORPHANED
+    assert shuffled.apply_block(loser).status is ApplyStatus.SIDE_BRANCH
+    assert shuffled.apply_block(tail[0]).stored
+    assert shuffled.head is tail[-1]
+
 
 def test_equal_long_branches_fall_back_to_first_block_score():
     parties = keys(24)
@@ -482,18 +488,6 @@ def test_equal_long_branches_fall_back_to_first_block_score():
     assert state.head.height == 3
 
 
-def test_resolve_fork_is_idempotent_and_checks_shape():
-    parties = keys(12)
-    winner, loser = siblings(parties, fresh_state(parties))
-    state = fresh_state(parties)
-    state.apply_block(loser)
-    with pytest.raises(ValueError):
-        state.resolve_fork(state.genesis.block_hash)
-    state.apply_block(winner)
-    assert state.resolve_fork(state.genesis.block_hash) is ForkDecision.KEEP_CURRENT
-    assert state.head is winner
-
-
 def test_fork_events_surface_switches_once():
     parties = keys(12)
     winner, loser = siblings(parties, fresh_state(parties))
@@ -504,19 +498,6 @@ def test_fork_events_surface_switches_once():
     events = state.pop_fork_events()
     assert events == [(winner.block_hash, winner.block_hash)]
     assert state.pop_fork_events() == []
-
-
-def test_handle_fork_win_applies_branch_and_decides():
-    parties = keys(24)
-    winner, loser = siblings(parties, fresh_state(parties))
-    tail = extend(parties, loser, (2, 3), 8)
-
-    state = fresh_state(parties)
-    state.apply_block(winner)
-    msg = ForkWinMsg(loser.block_hash, tail[-1].block_hash, parties[1][1])
-    results = state.handle_fork_win(msg, [tail[1], loser, tail[0]])  # any order
-    assert all(r.stored for r in results)
-    assert state.head is tail[-1]
 
 
 def test_confirmed_prefix_trails_head_by_depth():

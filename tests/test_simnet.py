@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from scorechain.analysis import SafetyParams
+from scorechain.cli import main as cli_main
 from scorechain.core_types import ChainConfig, TxModel
 from scorechain.incentive import RewardSchedule
 from scorechain.simnet import (
@@ -82,15 +83,37 @@ def test_from_dict_fills_sim_threshold_when_missing():
 
 
 def test_from_dict_parse_errors_name_their_section():
-    with pytest.raises(SimConfigError) as err:
-        SimConfig.from_dict({"adversary_strategy": "griefing"})
-    assert err.value.key == "adversary_strategy"
-    with pytest.raises(SimConfigError) as err:
-        SimConfig.from_dict({"tx_model": "banknotes"})
-    assert err.value.key == "tx_model"
-    with pytest.raises(SimConfigError) as err:
-        SimConfig.from_dict({"rewards": {"proposer_reward": -1}})
-    assert err.value.key == "rewards"
+    cases = [
+        ({"adversary_strategy": "griefing"}, "adversary_strategy"),
+        ({"tx_model": "banknotes"}, "tx_model"),
+        ({"rewards": {"proposer_reward": -1}}, "rewards"),
+        ({"latency": {"kind": "gaussian", "lo": 1, "hi": 3}}, "latency.kind"),
+        ({"latency": {"kind": "fixed", "tick": 4}}, "latency.tick"),
+        ({"latency": {"kind": "uniform", "lo": "1", "hi": 3}}, "latency.lo"),
+        ({"latency": 5}, "latency"),
+        ({"rewards": {"proposer_rewrd": 50}}, "rewards.proposer_rewrd"),
+        ({"rewards": {"witness_subsidy": 1.5}}, "rewards.witness_subsidy"),
+        ({"chain": {"witness_mm": 3}}, "chain.witness_mm"),
+        ({"chain": {"witness_threshold": "zz"}}, "chain.witness_threshold"),
+        ({"chain": ["tx_count_min", 4]}, "chain"),
+        ({"n_nodes": "20"}, "n_nodes"),
+        ({"n_nodes": 20.0}, "n_nodes"),
+        ({"replay_check": 1}, "replay_check"),
+        ({"delivery_ratio": "0.9"}, "delivery_ratio"),
+    ]
+    for data, key in cases:
+        with pytest.raises(SimConfigError) as err:
+            SimConfig.from_dict(data)
+        assert err.value.key == key, data
+    # JSON has one number type: an integer is a valid float field
+    assert SimConfig.from_dict({"delivery_ratio": 1}).delivery_ratio == 1.0
+
+
+def test_cli_rejects_malformed_config_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"latency": 5}))
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert "latency" in capsys.readouterr().err
 
 
 def test_latency_spec_sampling():

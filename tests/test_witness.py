@@ -124,10 +124,12 @@ def test_propose_drops_conflicting_and_invalid():
     b = make_transaction(STUB, secret, sender, AccountBody(recipient, 2, 0))  # same nonce
     future = make_transaction(STUB, secret, sender, AccountBody(recipient, 1, 5))
     filler = payments(parties[2:], 3)
-    req = propose_block(parties[0][1], state, [a, b, future] + filler, CFG)
+    dead = []
+    req = propose_block(parties[0][1], state, [a, b, future] + filler, CFG, dead=dead)
     assert req is not None
     included = req.block.transactions
     assert a in included and b not in included and future not in included
+    assert dead == [b.tx_id]  # a reused nonce is dead; a future one may yet apply
 
 
 def test_propose_returns_none_when_short():
@@ -149,9 +151,11 @@ def test_propose_skips_coinbase_entries():
     parties = keys(5)
     state = fresh_state(parties)
     cb = coinbase_transaction(AccountBody(parties[0][1], 50, 0))
-    req = propose_block(parties[0][1], state, [cb] + payments(parties, 4), CFG)
+    dead = []
+    req = propose_block(parties[0][1], state, [cb] + payments(parties, 4), CFG, dead=dead)
     assert req is not None
     assert cb not in req.block.transactions
+    assert dead == [cb.tx_id]
 
 
 # -- sign ------------------------------------------------------------------------
