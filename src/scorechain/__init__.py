@@ -50,15 +50,10 @@ from .core_types import (
     serialize_block,
 )
 from .incentive import (
-    MintContext,
-    MintHooks,
-    NO_HOOKS,
     RewardSchedule,
-    bitcoin_like_plugin,
     build_coinbase,
     coinbase_credits,
     make_coinbase_rule,
-    register_hook,
 )
 from .ledger import (
     ApplyResult,

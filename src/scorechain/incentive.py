@@ -1,10 +1,11 @@
-"""Pluggable incentive layer: mint-time hooks plus a block-reward plugin.
+"""Block rewards: one coinbase rule both mints and checks them.
 
-The chain itself is economically empty. Rewards enter only through hooks that
-run inside minting: before-hooks may append transactions to the candidate
-block (never remove or reorder the user transactions), after-hooks observe the
-finalized block. With no hooks registered, minting is the identity on the
-proposal apart from attaching the witness certificate.
+The chain itself is economically empty. A ``RewardSchedule`` becomes value
+only through ``make_coinbase_rule``: minting appends exactly the system
+transactions the rule returns for (block, witnesses, system nonce), and a
+ledger holding the same rule accepts a block only if its system transactions
+are exactly that output. A ledger without a rule expects none, so a system
+transaction the chain's rule does not prescribe is never valid.
 """
 
 from __future__ import annotations
@@ -15,55 +16,15 @@ from typing import Callable, Sequence
 from .core_types import (
     AccountBody,
     Block,
-    ChainConfig,
     COINBASE_INDEX,
     NodeId,
     Outpoint,
-    SYSTEM_ID,
     Transaction,
     TxModel,
     TxOutput,
     UtxoBody,
     coinbase_transaction,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class MintContext:
-    """What a hook may look at: the proposal and the mint circumstances.
-
-    system_nonce is the next unused nonce of the system account at the
-    proposal's parent, needed to build account-model coinbase credits.
-    """
-
-    proposal: Block
-    witnesses: tuple[NodeId, ...]
-    cfg: ChainConfig
-    system_nonce: int = 0
-
-
-BeforeHook = Callable[[MintContext], Sequence[Transaction]]
-AfterHook = Callable[[Block, MintContext], None]
-
-
-@dataclass(frozen=True, slots=True)
-class MintHooks:
-    """Immutable hook registry; execution order = registration order."""
-
-    before: tuple[BeforeHook, ...] = ()
-    after: tuple[AfterHook, ...] = ()
-
-
-NO_HOOKS = MintHooks()
-
-
-def register_hook(hooks: MintHooks, phase: str, hook: Callable) -> MintHooks:
-    """Return a registry with ``hook`` appended to the given phase."""
-    if phase == "before":
-        return MintHooks(hooks.before + (hook,), hooks.after)
-    if phase == "after":
-        return MintHooks(hooks.before, hooks.after + (hook,))
-    raise ValueError(f"unknown hook phase: {phase!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,9 +35,6 @@ class RewardSchedule:
     def __post_init__(self) -> None:
         if self.proposer_reward < 0 or self.witness_subsidy < 0:
             raise ValueError("rewards must be non-negative")
-
-    def is_zero(self) -> bool:
-        return self.proposer_reward == 0 and self.witness_subsidy == 0
 
 
 def coinbase_credits(
@@ -122,30 +80,15 @@ def build_coinbase(
     return tuple(txs)
 
 
-def bitcoin_like_plugin(schedule: RewardSchedule, model: TxModel) -> BeforeHook:
-    """Before-hook appending one coinbase credit set per minted block."""
-
-    def hook(ctx: MintContext) -> tuple[Transaction, ...]:
-        return build_coinbase(
-            model,
-            ctx.proposal.height,
-            ctx.proposal.proposer,
-            ctx.witnesses,
-            schedule,
-            ctx.system_nonce,
-        )
-
-    return hook
-
-
 CoinbaseRule = Callable[[Block, tuple[NodeId, ...], int], tuple[Transaction, ...]]
 
 
 def make_coinbase_rule(schedule: RewardSchedule, model: TxModel) -> CoinbaseRule:
-    """Validation-side twin of the plugin: recompute the expected coinbase.
+    """The coinbase a block must carry under this schedule and model.
 
-    Ledgers configured with this rule reject blocks whose system transactions
-    differ from what the schedule prescribes for (proposer, witnesses, height).
+    ``mint_block`` appends the rule's output to the proposal, and a ledger
+    configured with the same rule rejects blocks whose system transactions
+    differ from it. An all-zero schedule prescribes no transactions.
     """
 
     def rule(

@@ -21,7 +21,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core_types import (
     AccountBody,
@@ -46,6 +46,7 @@ from .core_types import (
     hash256,
     serialize_block,
 )
+from .incentive import CoinbaseRule
 from .scoring import block_score, sort_key
 from .witness import is_eligible_witness, witness_message
 
@@ -324,7 +325,7 @@ class ChainState:
         scheme: SignatureScheme,
         genesis_indices: "TxIndices | None" = None,
         *,
-        coinbase_rule: "Callable[[Block, tuple[NodeId, ...], int], tuple[Transaction, ...]] | None" = None,
+        coinbase_rule: "CoinbaseRule | None" = None,
         orphan_timeout: int = 512,
         max_orphans: int = 256,
         replay_check: bool = False,
@@ -446,52 +447,56 @@ class ChainState:
         return reason
 
     def _validate_uncached(self, block: Block, parent: Block) -> "BlockReject | None":
-        cfg = self.cfg
-        if block.height != parent.height + 1:
-            return BlockReject.BAD_STRUCTURE
-        if block.proposer == SYSTEM_ID:
-            return BlockReject.BAD_STRUCTURE
-        txs = block.transactions
-        if len({tx.tx_id for tx in txs}) != len(txs):
-            return BlockReject.BAD_STRUCTURE
-        user_count = sum(1 for tx in txs if not tx.is_coinbase())
-        if user_count < cfg.tx_count_min:
-            return BlockReject.TOO_FEW_TXS
+        reason = self._check_structure(block, parent)
+        if reason is not None:
+            return reason
 
         sigs = block.witness_sigs
-        if len(sigs) < cfg.witness_m:
+        if len(sigs) < self.cfg.witness_m:
             return BlockReject.BAD_WITNESS
-        ids = [node for node, _ in sigs]
-        if len(set(ids)) != len(ids) or block.proposer in ids:
+        witnesses = tuple(node for node, _ in sigs)
+        if len(set(witnesses)) != len(witnesses) or block.proposer in witnesses:
             return BlockReject.BAD_WITNESS
         message = witness_message(block)
         for node, sig in sigs:
-            if not is_eligible_witness(block.proposer, node, cfg):
+            if not is_eligible_witness(block.proposer, node, self.cfg):
                 return BlockReject.BAD_WITNESS
             if not self.scheme.verify(node, message, sig):
                 return BlockReject.BAD_WITNESS
 
-        indices, tx_reason = self._apply_txs(block, parent)
-        if tx_reason is not None:
-            return tx_reason
+        reason = self._apply_txs(block, parent)
+        if reason is not None:
+            return reason
+        # the coinbase must be exactly what the chain's rule prescribes;
+        # without a rule, no system transaction is legitimate
+        expected: tuple[Transaction, ...] = ()
         if self.coinbase_rule is not None:
-            witnesses = tuple(node for node, _ in sigs)
-            system_nonce = self.snapshots[parent.block_hash].nonces.get(SYSTEM_ID, 0)
+            system_nonce = self.system_nonce_at(parent.block_hash)
             expected = self.coinbase_rule(block, witnesses, system_nonce)
-            coinbase = tuple(tx for tx in txs if tx.is_coinbase())
-            if coinbase != expected:
-                return BlockReject.BAD_COINBASE
-        self.snapshots.setdefault(block.block_hash, indices)
+        if tuple(tx for tx in block.transactions if tx.is_coinbase()) != expected:
+            return BlockReject.BAD_COINBASE
         return None
 
-    def _apply_txs(
-        self, block: Block, parent: Block
-    ) -> "tuple[TxIndices | None, BlockReject | None]":
-        # keyed by block hash, which covers parent and transactions, so a
-        # snapshot computed during candidate validation is reusable verbatim
-        existing = self.snapshots.get(block.block_hash)
-        if existing is not None:
-            return existing, None
+    def _check_structure(self, block: Block, parent: Block) -> "BlockReject | None":
+        """Checks shared by candidates and minted blocks, before any tx runs."""
+        if block.height != parent.height + 1 or block.proposer == SYSTEM_ID:
+            return BlockReject.BAD_STRUCTURE
+        txs = block.transactions
+        if len({tx.tx_id for tx in txs}) != len(txs):
+            return BlockReject.BAD_STRUCTURE
+        if sum(1 for tx in txs if not tx.is_coinbase()) < self.cfg.tx_count_min:
+            return BlockReject.TOO_FEW_TXS
+        return None
+
+    def _apply_txs(self, block: Block, parent: Block) -> "BlockReject | None":
+        """Run the block's transactions on its parent's state; store the result.
+
+        The snapshot is keyed by block hash, which covers parent and
+        transactions, so one computed while validating a candidate serves the
+        minted block verbatim.
+        """
+        if block.block_hash in self.snapshots:
+            return None
         indices = self.snapshots[parent.block_hash].clone()
         for tx in block.transactions:
             reject = indices.validate_tx(
@@ -499,10 +504,11 @@ class ChainState:
             )
             if reject is not None:
                 if reject is TxReject.BAD_COINBASE:
-                    return None, BlockReject.BAD_COINBASE
-                return None, BlockReject.INVALID_TX
+                    return BlockReject.BAD_COINBASE
+                return BlockReject.INVALID_TX
             indices.apply_tx(tx)
-        return indices, None
+        self.snapshots[block.block_hash] = indices
+        return None
 
     def candidate_block_valid(self, block: Block) -> bool:
         """Pre-certificate validity: structure and transactions only.
@@ -511,24 +517,16 @@ class ChainState:
         the exact coinbase schedule apply to minted blocks, not candidates.
         """
         parent = self.blocks.get(block.parent_hash)
-        if parent is None or block.height != parent.height + 1:
-            return False
-        if block.proposer == SYSTEM_ID:
+        if parent is None:
             return False
         key = (block.block_hash, None)
-        if key in self.verdicts:
-            return self.verdicts[key]
-        txs = block.transactions
-        ok = (
-            len({tx.tx_id for tx in txs}) == len(txs)
-            and sum(1 for tx in txs if not tx.is_coinbase()) >= self.cfg.tx_count_min
-        )
-        if ok:
-            indices, reason = self._apply_txs(block, parent)
-            ok = reason is None
-            if ok:
-                self.snapshots.setdefault(block.block_hash, indices)
-        self.verdicts[key] = ok
+        ok = self.verdicts.get(key)
+        if ok is None:
+            ok = (
+                self._check_structure(block, parent) is None
+                and self._apply_txs(block, parent) is None
+            )
+            self.verdicts[key] = ok
         return ok
 
     # -- orphan pool -------------------------------------------------------------

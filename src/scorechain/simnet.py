@@ -42,14 +42,7 @@ from .core_types import (
     get_scheme,
     make_transaction,
 )
-from .incentive import (
-    MintHooks,
-    NO_HOOKS,
-    RewardSchedule,
-    bitcoin_like_plugin,
-    make_coinbase_rule,
-    register_hook,
-)
+from .incentive import RewardSchedule, make_coinbase_rule
 from .ledger import (
     ApplyStatus,
     ChainState,
@@ -569,7 +562,7 @@ class HonestNode:
             list(pending.sigs.values()),
             sim.cfg.chain,
             sim.scheme,
-            hooks=sim.hooks,
+            coinbase_rule=sim.coinbase_rule,
             system_nonce=self.state.system_nonce_at(pending.req.block.parent_hash),
         )
         if block is None:
@@ -577,9 +570,6 @@ class HonestNode:
         sim.report.blocks_minted += 1
         self.handle_block(block)
         return True
-
-    def on_block(self, msg: BlockGossip) -> None:
-        self.handle_block(msg.block, pull_from=None)
 
     def handle_block(self, block: Block, pull_from: "int | None" = None) -> None:
         result = self.state.apply_block(block)
@@ -855,11 +845,8 @@ class Simulator:
         self.genesis_indices = self._build_alloc()
         self.snapshot_store: dict = {}
         self.verdict_cache: dict = {}
-        self.hooks: MintHooks = NO_HOOKS
         self.coinbase_rule = None
-        if cfg.rewards is not None and not cfg.rewards.is_zero():
-            plugin = bitcoin_like_plugin(cfg.rewards, cfg.tx_model)
-            self.hooks = register_hook(NO_HOOKS, "before", plugin)
+        if cfg.rewards is not None:
             self.coinbase_rule = make_coinbase_rule(cfg.rewards, cfg.tx_model)
 
         n_adv = round(cfg.adversary_fraction * cfg.n_nodes)

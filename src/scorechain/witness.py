@@ -7,9 +7,11 @@ configured XOR distance of the proposer's, a uniformly random subset of the
 network) and attaches the first m valid ones as the block's certificate.
 
 Witnesses sign a digest over the header and the proposal's user transactions.
-When minting appends no system transactions this digest equals block_hash, so
-an economically empty chain signs the block hash itself; with reward hooks the
-digest still covers everything the witnesses actually attested to.
+Minting then appends the chain's coinbase (incentive.make_coinbase_rule), if
+it has one, after the certificate is complete. Without system transactions
+the digest equals block_hash, so an economically empty chain signs the block
+hash itself; with rewards the digest still covers everything the witnesses
+actually attested to, and ledgers recompute the coinbase rather than trust it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core_types import (
     enc_u256,
     hash256,
 )
-from .incentive import MintContext, MintHooks, NO_HOOKS
+from .incentive import CoinbaseRule
 from .scoring import block_score
 
 if TYPE_CHECKING:
@@ -200,14 +202,17 @@ def mint_block(
     sigs: Sequence[WitnessSignature],
     cfg: ChainConfig,
     scheme: SignatureScheme,
-    hooks: MintHooks = NO_HOOKS,
+    coinbase_rule: "CoinbaseRule | None" = None,
     system_nonce: int = 0,
 ) -> "Block | None":
     """Finalize a candidate once m distinct valid endorsements exist.
 
     Bad entries are dropped, never fatal: duplicates by witness identity,
     the proposer itself, ineligible witnesses, and signatures that fail
-    verification. Returns None while fewer than m survivors exist.
+    verification. Returns None while fewer than m survivors exist. The
+    minted block carries the proposal's transactions followed by exactly
+    what coinbase_rule returns for the kept witnesses; system_nonce is the
+    system account's next nonce at the proposal's parent.
     """
     message = enc_u256(req.digest)
     seen: set[NodeId] = set()
@@ -225,18 +230,14 @@ def mint_block(
             break
     if len(kept) < cfg.witness_m:
         return None
-    witnesses = tuple(ws.witness for ws in kept)
-    ctx = MintContext(req.block, witnesses, cfg, system_nonce)
-    appended: list[Transaction] = []
-    for hook in hooks.before:
-        appended.extend(hook(ctx))
-    final = Block(
+    coinbase: tuple[Transaction, ...] = ()
+    if coinbase_rule is not None:
+        witnesses = tuple(ws.witness for ws in kept)
+        coinbase = coinbase_rule(req.block, witnesses, system_nonce)
+    return Block(
         parent_hash=req.block.parent_hash,
         height=req.block.height,
         proposer=req.block.proposer,
-        transactions=req.block.transactions + tuple(appended),
+        transactions=req.block.transactions + coinbase,
         witness_sigs=tuple((ws.witness, ws.signature) for ws in kept),
     )
-    for hook in hooks.after:
-        hook(final, ctx)
-    return final

@@ -3,8 +3,10 @@ keep every report byte-identical.
 
 Each pin is the sha256 of ``SimReport.to_json()`` for one stub-scheme config
 and seed, run with the replay oracle on. The configs cover lossy links,
-fork-win retransmission, all three adversaries, both ledger models (UTXO with
-rewards) and a long run with many branch switches. A pin that moves means
+fork-win retransmission, all three adversaries, both ledger models, block
+rewards in both (the account-model coinbase spends consecutive system
+nonces, the UTXO one a height marker) and a long run with many branch
+switches. A pin that moves means
 the simulated behaviour changed; that is either a bug to fix or a deliberate
 change (such as a new RNG draw order) to record in CHANGES.md with the pins
 recomputed.
@@ -41,6 +43,7 @@ CONFIGS = {
         BASE, **ADVERSARIES, adversary_strategy=Strategy.INVALID_BLOCK_PUSH
     ),
     "long": replace(BASE, duration=1200),
+    "account_rewards": replace(BASE, rewards=RewardSchedule(50, 5)),
 }
 
 PINS = {
@@ -60,6 +63,8 @@ PINS = {
     ("invalid_push", 2): "d368a221c35aae8b9cfd772e0e658922c299148e8b0a5152be46ba1a37893908",
     ("long", 1): "d77ed96434990bc83ab77dae4a4449d12ae29693945335d9ad526b69dc7d8cab",
     ("long", 2): "c2195d02739566050e48071697accfe598eaef9cb5846b567d71343673948d86",
+    ("account_rewards", 1): "ea7a59cd5eaf6ea525d5bc98ac4587d4fe81413f2ab0e39ff1aad01af039ce30",
+    ("account_rewards", 2): "0d2c23fcf374442946c847facebf686595f8c93538cb1b4f40d590d354b8633b",
 }
 
 

@@ -1,28 +1,27 @@
-"""Mint hooks and coinbase construction for both value models."""
+"""Coinbase construction and the one coinbase rule, for both value models."""
 
 import pytest
 
 from scorechain.core_types import (
     AccountBody,
     Block,
+    ChainConfig,
     COINBASE_INDEX,
     Outpoint,
     TxModel,
     TxOutput,
     UtxoBody,
     get_scheme,
+    make_transaction,
 )
 from scorechain.incentive import (
-    MintContext,
-    MintHooks,
-    NO_HOOKS,
     RewardSchedule,
-    bitcoin_like_plugin,
     build_coinbase,
     coinbase_credits,
     make_coinbase_rule,
-    register_hook,
 )
+from scorechain.ledger import ApplyStatus, BlockReject, ChainState, fund_accounts, fund_utxos
+from scorechain.witness import WitnessRequest, WitnessSignature, mint_block, witness_message
 
 STUB = get_scheme("stub")
 
@@ -52,8 +51,6 @@ def test_negative_rewards_rejected():
         RewardSchedule(-1, 5)
     with pytest.raises(ValueError):
         RewardSchedule(5, -1)
-    assert RewardSchedule(0, 0).is_zero()
-    assert not RewardSchedule(1, 0).is_zero()
 
 
 # -- coinbase transactions -----------------------------------------------------------
@@ -91,41 +88,47 @@ def test_zero_schedule_builds_nothing():
     assert build_coinbase(TxModel.UTXO, 1, proposer, [w1], RewardSchedule(0, 0), 0) == ()
 
 
-# -- hook registry ---------------------------------------------------------------------
+# -- the rule on both sides of minting -------------------------------------------------------
 
 
-def test_register_hook_appends_in_order():
-    def a(ctx):
-        return ()
-
-    def b(ctx):
-        return ()
-
-    hooks = register_hook(NO_HOOKS, "before", a)
-    hooks = register_hook(hooks, "before", b)
-    hooks = register_hook(hooks, "after", a)
-    assert hooks.before == (a, b)
-    assert hooks.after == (a,)
-    assert NO_HOOKS.before == () and NO_HOOKS.after == ()  # registry is immutable
+def funded_state(model, parties, **kwargs):
+    cfg = ChainConfig(tx_count_min=1)
+    if model is TxModel.ACCOUNT:
+        genesis = fund_accounts({nid: 100 for _, nid in parties})
+    else:
+        genesis = fund_utxos({nid: [100] for _, nid in parties})
+    return ChainState(cfg, STUB, genesis, **kwargs)
 
 
-def test_register_hook_rejects_unknown_phase():
-    with pytest.raises(ValueError):
-        register_hook(NO_HOOKS, "during", lambda ctx: ())
+def one_payment(model, state, parties):
+    (secret, sender), (_, recipient) = parties[0], parties[1]
+    if model is TxModel.ACCOUNT:
+        body = AccountBody(recipient, 10, 0)
+    else:
+        (grant,) = [op for op, out in state.head_indices().utxos.items() if out.owner == sender]
+        body = UtxoBody((grant,), (TxOutput(recipient, 100),))
+    return make_transaction(STUB, secret, sender, body)
 
 
-# -- plugin and validation twin -----------------------------------------------------------
-
-
-def test_plugin_output_matches_rule_for_same_context():
-    proposer, w1, w2 = ids(3)
-    schedule = RewardSchedule(50, 5)
+def test_minted_coinbase_is_accepted_only_under_the_same_rule():
+    parties = [STUB.keypair(b"rt" + bytes([i])) for i in range(4)]
+    witnesses = (parties[1][1], parties[2][1])
     for model in (TxModel.ACCOUNT, TxModel.UTXO):
-        plugin = bitcoin_like_plugin(schedule, model)
-        rule = make_coinbase_rule(schedule, model)
-        proposal = Block(1, 4, proposer, ())
-        ctx = MintContext(proposal, (w1, w2), None, 2)
-        assert plugin(ctx) == rule(proposal, (w1, w2), 2)
+        rule = make_coinbase_rule(RewardSchedule(50, 5), model)
+        ruled = funded_state(model, parties, coinbase_rule=rule)
+        payment = one_payment(model, ruled, parties)
+        bare = Block(ruled.genesis.block_hash, 1, parties[0][1], (payment,))
+        message = witness_message(bare)
+        sigs = [WitnessSignature(nid, STUB.sign(secret, message)) for secret, nid in parties[1:3]]
+        system_nonce = ruled.system_nonce_at(ruled.genesis.block_hash)
+        block = mint_block(
+            WitnessRequest(bare), sigs, ruled.cfg, STUB, coinbase_rule=rule, system_nonce=system_nonce
+        )
+
+        assert block.transactions == (payment,) + rule(bare, witnesses, 0)
+        assert ruled.apply_block(block).status is ApplyStatus.ACCEPTED
+        rejected = funded_state(model, parties).apply_block(block)
+        assert (rejected.status, rejected.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
 
 
 def test_rule_tracks_witness_set_and_height():

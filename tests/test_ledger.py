@@ -327,6 +327,34 @@ def test_coinbase_rule_enforced_on_minted_blocks():
     assert state2.apply_block(tampered).reason is BlockReject.BAD_COINBASE
 
 
+def test_ruleless_ledger_rejects_any_system_transaction(tmp_path):
+    parties = keys(6)
+    state = fresh_state(parties)
+    g = state.genesis.block_hash
+    txs = tuple(payments(parties, 4))
+    bare = minted(g, 1, txs, parties)
+    grant = coinbase_transaction(AccountBody(bare.proposer, 10**12, 0))
+    # the certificate covers user transactions only, so it still verifies
+    forged = Block(g, 1, bare.proposer, txs + (grant,)).with_witnesses(bare.witness_sigs)
+    assert witness_message(forged) == witness_message(bare)
+
+    result = state.apply_block(forged)
+    assert (result.status, result.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
+    assert total_value(state.head_indices()) == 6 * 10**9
+    assert state.head is state.genesis
+
+    # a chain whose rule prescribes that grant does not load without the rule
+    rule = make_coinbase_rule(RewardSchedule(10**12, 0), TxModel.ACCOUNT)
+    granting = fresh_state(parties, coinbase_rule=rule)
+    assert granting.apply_block(forged).status is ApplyStatus.ACCEPTED
+    path = str(tmp_path / "chain.bin")
+    granting.dump_chain(path)
+    funding = fund_accounts({nid: 10**9 for _, nid in parties})
+    assert ChainState.load_chain(CFG, STUB, path, funding, coinbase_rule=rule).head == forged
+    with pytest.raises(SerializationError, match="bad_coinbase"):
+        ChainState.load_chain(CFG, STUB, path, funding)
+
+
 def test_candidate_validity_skips_witness_and_coinbase_checks():
     parties = keys(6)
     schedule = RewardSchedule(50, 5)

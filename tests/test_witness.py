@@ -12,7 +12,7 @@ from scorechain.core_types import (
     get_scheme,
     make_transaction,
 )
-from scorechain.incentive import NO_HOOKS, RewardSchedule, bitcoin_like_plugin, register_hook
+from scorechain.incentive import RewardSchedule, make_coinbase_rule
 from scorechain.core_types import TxModel
 from scorechain.ledger import ChainState, fund_accounts
 from scorechain.scoring import block_score
@@ -310,18 +310,24 @@ def test_mint_block_drops_ineligible_witness():
     assert ranked[2].witness not in minted_ids
 
 
-def test_mint_block_runs_before_and_after_hooks():
+def test_mint_block_appends_the_coinbase_rule_output():
     parties = keys(5)
     state = fresh_state(parties)
     req = proposal(parties, state)
     sigs = endorse(req, state, parties[1:3])
-    seen = []
-    hooks = register_hook(NO_HOOKS, "before", bitcoin_like_plugin(RewardSchedule(50, 5), TxModel.ACCOUNT))
-    hooks = register_hook(hooks, "after", lambda block, ctx: seen.append(block.block_hash))
-    block = mint_block(req, sigs, CFG, STUB, hooks=hooks, system_nonce=0)
+    rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.ACCOUNT)
+    calls = []
+
+    def spy(block, witnesses, system_nonce):
+        calls.append((block, witnesses, system_nonce))
+        return rule(block, witnesses, system_nonce)
+
+    block = mint_block(req, sigs, CFG, STUB, coinbase_rule=spy, system_nonce=7)
     assert block is not None
-    coinbase = [tx for tx in block.transactions if tx.is_coinbase()]
-    assert len(coinbase) == 3  # proposer + two witnesses
+    witnesses = tuple(node for node, _ in block.witness_sigs)
+    assert calls == [(req.block, witnesses, 7)]  # once, with the kept witnesses
+    assert block.transactions == req.block.transactions + rule(req.block, witnesses, 7)
+    assert [tx.body.nonce for tx in block.transactions if tx.is_coinbase()] == [7, 8, 9]
     assert block.block_hash != req.block_hash  # coinbase extends the body
     assert witness_digest(block) == req.digest  # but not the witnessed digest
-    assert seen == [block.block_hash]
+    assert mint_block(req, sigs, CFG, STUB).transactions == req.block.transactions
