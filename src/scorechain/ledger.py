@@ -9,18 +9,23 @@ depth, the branch whose first block has the lower score wins. Because the
 rule looks only at the block tree, any two nodes holding the same blocks
 follow the same path, whatever order the blocks arrived in.
 
-Transaction indices (balances, nonces, unspent outputs) are kept per block as
-immutable snapshots, so switching branches is a pointer move, not an unwind.
-A replay oracle can recompute the head snapshot from genesis after every
-switch to guard the incremental bookkeeping.
+Every stored block keeps a snapshot of the transaction indices (balances,
+nonces, unspent and spent outputs) after it, so switching branches is a
+pointer move, not an unwind. A snapshot is a frozen base shared with its
+relatives plus an overlay of the writes made since that base was built, so a
+block costs about its own writes, not the account count (see TxIndices for
+when an overlay is merged into a fresh base). A replay oracle can recompute
+the head snapshot from genesis after every switch to guard the incremental
+bookkeeping.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core_types import (
@@ -83,30 +88,134 @@ DEAD_TX = frozenset(
 )
 
 
-@dataclass(eq=True)
+# default of an overlay lookup, distinct from a spent UTXO's None tombstone
+_ABSENT = object()
+
+
+def _merged(base: dict, overlay: dict) -> dict:
+    """base overlaid by overlay, where a None value deletes the key."""
+    merged = dict(base)
+    for key, value in overlay.items():
+        if value is None:
+            merged.pop(key, None)
+        else:
+            merged[key] = value
+    return merged
+
+
 class TxIndices:
-    """Value state after some chain prefix: balances, nonces, UTXO set.
+    """Value state after some chain prefix: balances, nonces, UTXO set, spent.
+
+    Each of the four maps is a frozen base plus this snapshot's own overlay
+    of writes. Reads look in the overlay first, then in the base; a spent
+    UTXO is a None tombstone in the overlay. A base is never written after
+    it is built, so every snapshot cloned from it may share it.
+
+    clone() copies only the overlay and shares the base. Once the overlay
+    holds so many written keys that written**2 > 64 * (base size + 1),
+    clone() first collapses the snapshot being cloned in place: its overlay
+    is merged into a fresh base, which the clone then shares. The content
+    does not change, so a snapshot shared through a store stays valid. The
+    rule keeps the overlay under about 8 * sqrt(base size) entries, which
+    balances the overlay copied on every clone against the base copied on
+    each collapse: a small state collapses every few blocks of fresh keys, a
+    large one keeps per-block memory at the size of the overlay.
+
+    balances, nonces, utxos and spent are merged read-only copies for tests
+    and reports; the validation and application paths use point lookups.
 
     issued counts all value ever created (initial allocation plus coinbase);
     burned counts UTXO input value not re-emitted as outputs. Conservation:
     total held value == issued - burned at every block boundary.
     """
 
-    balances: dict[NodeId, int] = field(default_factory=dict)
-    nonces: dict[NodeId, int] = field(default_factory=dict)
-    utxos: dict[Outpoint, TxOutput] = field(default_factory=dict)
-    spent: set[Outpoint] = field(default_factory=set)
-    issued: int = 0
-    burned: int = 0
+    __slots__ = (
+        "_balances", "_balances_base",
+        "_nonces", "_nonces_base",
+        "_utxos", "_utxos_base",
+        "_spent", "_spent_base",
+        "issued", "burned",
+    )
+
+    def __init__(
+        self,
+        balances: "dict[NodeId, int] | None" = None,
+        nonces: "dict[NodeId, int] | None" = None,
+        utxos: "dict[Outpoint, TxOutput] | None" = None,
+        spent: "set[Outpoint] | None" = None,
+        issued: int = 0,
+        burned: int = 0,
+    ) -> None:
+        """The given maps become the base and must not be written afterwards."""
+        self._balances_base = balances if balances is not None else {}
+        self._nonces_base = nonces if nonces is not None else {}
+        self._utxos_base = utxos if utxos is not None else {}
+        self._spent_base = frozenset(spent or ())
+        self._balances: dict[NodeId, int] = {}
+        self._nonces: dict[NodeId, int] = {}
+        self._utxos: "dict[Outpoint, TxOutput | None]" = {}
+        self._spent: set[Outpoint] = set()
+        self.issued = issued
+        self.burned = burned
 
     def clone(self) -> "TxIndices":
-        return TxIndices(
-            dict(self.balances),
-            dict(self.nonces),
-            dict(self.utxos),
-            set(self.spent),
-            self.issued,
-            self.burned,
+        written = (
+            len(self._balances) + len(self._nonces) + len(self._utxos) + len(self._spent)
+        )
+        base_size = (
+            len(self._balances_base)
+            + len(self._nonces_base)
+            + len(self._utxos_base)
+            + len(self._spent_base)
+        )
+        if written * written > 64 * (base_size + 1):
+            self._collapse()
+        twin = TxIndices.__new__(TxIndices)
+        twin._balances_base = self._balances_base
+        twin._nonces_base = self._nonces_base
+        twin._utxos_base = self._utxos_base
+        twin._spent_base = self._spent_base
+        twin._balances = dict(self._balances)
+        twin._nonces = dict(self._nonces)
+        twin._utxos = dict(self._utxos)
+        twin._spent = set(self._spent)
+        twin.issued = self.issued
+        twin.burned = self.burned
+        return twin
+
+    def _collapse(self) -> None:
+        """Merge the overlay into a fresh base, in place; content is unchanged."""
+        self._balances_base = _merged(self._balances_base, self._balances)
+        self._nonces_base = _merged(self._nonces_base, self._nonces)
+        self._utxos_base = _merged(self._utxos_base, self._utxos)
+        self._spent_base = self._spent_base | self._spent
+        self._balances, self._nonces, self._utxos, self._spent = {}, {}, {}, set()
+
+    # -- merged views (tests, reports, the replay oracle) ----------------------
+
+    @property
+    def balances(self) -> Mapping[NodeId, int]:
+        return MappingProxyType(_merged(self._balances_base, self._balances))
+
+    @property
+    def nonces(self) -> Mapping[NodeId, int]:
+        return MappingProxyType(_merged(self._nonces_base, self._nonces))
+
+    @property
+    def utxos(self) -> Mapping[Outpoint, TxOutput]:
+        return MappingProxyType(_merged(self._utxos_base, self._utxos))
+
+    @property
+    def spent(self) -> frozenset[Outpoint]:
+        return self._spent_base | self._spent
+
+    def __eq__(self, other: object) -> bool:
+        """Equal content, however each side splits it between base and overlay."""
+        if not isinstance(other, TxIndices):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in ("balances", "nonces", "utxos", "spent", "issued", "burned")
         )
 
     # -- validation ---------------------------------------------------------
@@ -129,12 +238,18 @@ class TxIndices:
             return self._validate_coinbase(tx, expected_height)
         body = tx.body
         if isinstance(body, AccountBody):
-            expected = self.nonces.get(tx.sender, 0)
+            sender = tx.sender
+            expected = self._nonces.get(sender)
+            if expected is None:
+                expected = self._nonces_base.get(sender, 0)
             if body.nonce < expected:
                 return TxReject.NONCE_REUSE
             if body.nonce > expected:
                 return TxReject.NONCE_FUTURE
-            if self.balances.get(tx.sender, 0) < body.amount:
+            held = self._balances.get(sender)
+            if held is None:
+                held = self._balances_base.get(sender, 0)
+            if held < body.amount:
                 return TxReject.INSUFFICIENT_FUNDS
         else:
             reason = self._validate_utxo_spend(tx.sender, body)
@@ -153,11 +268,15 @@ class TxIndices:
             return TxReject.EMPTY_OUTPUTS
         if len(set(body.inputs)) != len(body.inputs):
             return TxReject.DOUBLE_SPEND
+        spent, spent_base = self._spent, self._spent_base
+        utxos, utxos_base = self._utxos, self._utxos_base
         in_sum = 0
         for op in body.inputs:
-            if op in self.spent:
+            if op in spent or op in spent_base:
                 return TxReject.DOUBLE_SPEND
-            held = self.utxos.get(op)
+            held = utxos.get(op, _ABSENT)
+            if held is _ABSENT:
+                held = utxos_base.get(op)
             if held is None:
                 return TxReject.UNKNOWN_INPUT
             if held.owner != sender:
@@ -172,7 +291,9 @@ class TxIndices:
     ) -> "TxReject | None":
         body = tx.body
         if isinstance(body, AccountBody):
-            expected = self.nonces.get(SYSTEM_ID, 0)
+            expected = self._nonces.get(SYSTEM_ID)
+            if expected is None:
+                expected = self._nonces_base.get(SYSTEM_ID, 0)
             if body.nonce != expected:
                 return TxReject.BAD_COINBASE
             return None
@@ -183,7 +304,7 @@ class TxIndices:
             return TxReject.BAD_COINBASE
         if expected_height is not None and marker.tx_id != expected_height:
             return TxReject.BAD_COINBASE
-        if marker in self.spent:
+        if marker in self._spent or marker in self._spent_base:
             # two coinbase grants in one block would share the height marker
             return TxReject.BAD_COINBASE
         return None
@@ -195,27 +316,35 @@ class TxIndices:
         body = tx.body
         coinbase = tx.is_coinbase()
         if isinstance(body, AccountBody):
-            self.nonces[tx.sender] = body.nonce + 1
+            balances = self._balances
+            self._nonces[tx.sender] = body.nonce + 1
             if coinbase:
                 self.issued += body.amount
             else:
-                self.balances[tx.sender] = (
-                    self.balances.get(tx.sender, 0) - body.amount
-                )
-            self.balances[body.recipient] = (
-                self.balances.get(body.recipient, 0) + body.amount
-            )
+                held = balances.get(tx.sender)
+                if held is None:
+                    held = self._balances_base.get(tx.sender, 0)
+                balances[tx.sender] = held - body.amount
+            held = balances.get(body.recipient)
+            if held is None:
+                held = self._balances_base.get(body.recipient, 0)
+            balances[body.recipient] = held + body.amount
             return
+        utxos, spent = self._utxos, self._spent
         in_sum = 0
         for op in body.inputs:
             if coinbase:
-                self.spent.add(op)
+                spent.add(op)
                 continue
-            in_sum += self.utxos.pop(op).amount
-            self.spent.add(op)
+            held = utxos.get(op, _ABSENT)
+            if held is _ABSENT:
+                held = self._utxos_base[op]
+            in_sum += held.amount
+            utxos[op] = None
+            spent.add(op)
         out_sum = 0
         for index, out in enumerate(body.outputs):
-            self.utxos[Outpoint(tx.tx_id, index)] = out
+            utxos[Outpoint(tx.tx_id, index)] = out
             out_sum += out.amount
         if coinbase:
             self.issued += out_sum
@@ -373,7 +502,9 @@ class ChainState:
         return self.head_indices().clone()
 
     def system_nonce_at(self, block_hash: int) -> int:
-        return self.snapshots[block_hash].nonces.get(SYSTEM_ID, 0)
+        indices = self.snapshots[block_hash]
+        nonce = indices._nonces.get(SYSTEM_ID)
+        return indices._nonces_base.get(SYSTEM_ID, 0) if nonce is None else nonce
 
     def has_block(self, block_hash: int) -> bool:
         return block_hash in self.blocks
@@ -511,10 +642,12 @@ class ChainState:
         return None
 
     def candidate_block_valid(self, block: Block) -> bool:
-        """Pre-certificate validity: structure and transactions only.
+        """Pre-certificate validity: structure and user transactions only.
 
         This is what a witness checks before endorsing; the witness count and
         the exact coinbase schedule apply to minted blocks, not candidates.
+        A candidate carrying a system transaction is invalid, since minting
+        appends the coinbase after the certificate.
         """
         parent = self.blocks.get(block.parent_hash)
         if parent is None:
@@ -523,7 +656,8 @@ class ChainState:
         ok = self.verdicts.get(key)
         if ok is None:
             ok = (
-                self._check_structure(block, parent) is None
+                not any(tx.is_coinbase() for tx in block.transactions)
+                and self._check_structure(block, parent) is None
                 and self._apply_txs(block, parent) is None
             )
             self.verdicts[key] = ok

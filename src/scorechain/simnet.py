@@ -852,12 +852,13 @@ class Simulator:
         n_adv = round(cfg.adversary_fraction * cfg.n_nodes)
         adv_indices = set(self.rng.sample(range(cfg.n_nodes), n_adv)) if n_adv else set()
         adv_cls = _STRATEGY_CLASS[cfg.adversary_strategy]
+        grants = self._grants_by_owner() if cfg.tx_model is TxModel.UTXO else None
         self.nodes: list[HonestNode] = []
         for index in range(cfg.n_nodes):
             cls = adv_cls if index in adv_indices else HonestNode
             node = cls(self, index, secrets[index], node_ids[index])
-            if cfg.tx_model is TxModel.UTXO:
-                node.wallet_grants = deque(self._grants_for(node_ids[index]))
+            if grants is not None:
+                node.wallet_grants = deque(grants[node_ids[index]])
             self.nodes.append(node)
         self.report.honest_nodes = sum(1 for n in self.nodes if not n.is_adversary)
 
@@ -870,11 +871,11 @@ class Simulator:
         alloc = {nid: [cfg.utxo_unit] * cfg.genesis_outputs for nid in self.node_ids}
         return fund_utxos(alloc)
 
-    def _grants_for(self, node_id: NodeId) -> list:
-        grants = []
+    def _grants_by_owner(self) -> dict[NodeId, list]:
+        """Every node's genesis outputs, from one pass over the UTXO set."""
+        grants: dict[NodeId, list] = {nid: [] for nid in self.node_ids}
         for outpoint, out in self.genesis_indices.utxos.items():
-            if out.owner == node_id:
-                grants.append((outpoint, out.amount))
+            grants[out.owner].append((outpoint, out.amount))
         return grants
 
     # -- scheduling -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,7 +35,7 @@ from scorechain.ledger import (
     total_value,
 )
 from scorechain.scoring import block_score
-from scorechain.witness import witness_message
+from scorechain.witness import mint_block, propose_block, sign_witness, witness_message
 
 STUB = get_scheme("stub")
 CFG = ChainConfig()  # tx_count_min=4, witness_m=2, confirm_depth=3
@@ -560,7 +561,8 @@ def test_replay_mismatch_raises():
     state = fresh_state(parties)
     block = minted(state.genesis.block_hash, 1, payments(parties, 4), parties)
     state.apply_block(block)
-    state.head_indices().balances[parties[0][1]] += 1  # corrupt the cache
+    # corrupt the stored snapshot: a payment no block carries
+    state.head_indices().apply_tx(payments(parties, 1, nonce=1)[0])
     with pytest.raises(LedgerInvariantError):
         state.assert_replay_matches()
 
@@ -661,6 +663,33 @@ def test_confirmed_conflicts_detector_flags_reuse():
 
 
 # -- shared caches and order independence ------------------------------------------------------
+
+
+def test_memory_per_block_is_its_writes_not_the_account_count():
+    # a snapshot shares the funded base and keeps only the writes since it,
+    # so a block retains far less than a copy of 20k balances (about 1 MB)
+    parties = [STUB.keypair(b"M" + enc_u64(i)) for i in range(20_000)]
+    state = fresh_state(parties)
+    batches = [
+        [
+            make_transaction(STUB, secret, nid, AccountBody(parties[100 + 4 * h + i][1], 1, h))
+            for i, (secret, nid) in enumerate(parties[3:7])
+        ]
+        for h in range(30)
+    ]
+    logs = ({}, {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for batch in batches:
+            req = propose_block(parties[0][1], state, batch, CFG)
+            sigs = [sign_witness(*parties[w], req, state, CFG, logs[w - 1]) for w in (1, 2)]
+            assert state.apply_block(mint_block(req, sigs, CFG, STUB)).stored
+        per_block = (tracemalloc.get_traced_memory()[0] - before) / len(batches)
+    finally:
+        tracemalloc.stop()
+    assert state.height == 30
+    assert per_block < 128 * 1024
 
 
 def test_shared_caches_serve_second_ledger():

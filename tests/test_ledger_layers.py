@@ -1,0 +1,240 @@
+"""Layered ledger snapshots against a plain-dict replay, on random block trees.
+
+Each stored snapshot is a shared base plus an overlay of writes. These tests
+rebuild every stored snapshot's content from genesis with plain dicts and
+require equality, in both transaction models, with a base small enough to
+collapse every few blocks and one too large to collapse in a test's blocks.
+"""
+
+from dataclasses import dataclass
+
+from hypothesis import given, settings, strategies as st
+
+from scorechain.core_types import (
+    AccountBody,
+    Block,
+    ChainConfig,
+    Outpoint,
+    SYSTEM_ID,
+    TxModel,
+    TxOutput,
+    UtxoBody,
+    enc_u64,
+    get_scheme,
+    make_transaction,
+)
+from scorechain.incentive import RewardSchedule, make_coinbase_rule
+from scorechain.ledger import ChainState, fund_accounts, fund_utxos
+from scorechain.witness import WitnessRequest, WitnessSignature, mint_block, witness_message
+
+STUB = get_scheme("stub")
+CFG = ChainConfig()  # tx_count_min=4, witness_m=2, every key eligible
+PARTIES = [STUB.keypair(b"layers" + enc_u64(i)) for i in range(8)]
+# identities that never spend, funded only in the large base: with them it
+# holds 608 accounts or 1,824 outputs, more than ten blocks can write
+FILLER = [STUB.keypair(b"filler" + enc_u64(i))[1] for i in range(600)]
+# payees beyond the spenders, so account-model overlays outgrow a small base
+PAYEES = [nid for _, nid in PARTIES] + FILLER[:40]
+RULES = {model: make_coinbase_rule(RewardSchedule(50, 5), model) for model in TxModel}
+
+
+@dataclass
+class Plain:
+    """The value state as plain dicts, changed the way the ledger's rules say."""
+
+    balances: dict
+    nonces: dict
+    utxos: dict
+    spent: set
+    issued: int
+    burned: int
+
+    @classmethod
+    def of(cls, indices) -> "Plain":
+        return cls(
+            dict(indices.balances),
+            dict(indices.nonces),
+            dict(indices.utxos),
+            set(indices.spent),
+            indices.issued,
+            indices.burned,
+        )
+
+    def copy(self) -> "Plain":
+        return Plain(
+            dict(self.balances),
+            dict(self.nonces),
+            dict(self.utxos),
+            set(self.spent),
+            self.issued,
+            self.burned,
+        )
+
+    def apply(self, tx) -> None:
+        body = tx.body
+        coinbase = tx.is_coinbase()
+        if isinstance(body, AccountBody):
+            self.nonces[tx.sender] = body.nonce + 1
+            if coinbase:
+                self.issued += body.amount
+            else:
+                self.balances[tx.sender] = self.balances.get(tx.sender, 0) - body.amount
+            self.balances[body.recipient] = self.balances.get(body.recipient, 0) + body.amount
+            return
+        in_sum = 0
+        for op in body.inputs:
+            if not coinbase:
+                in_sum += self.utxos.pop(op).amount
+            self.spent.add(op)
+        out_sum = 0
+        for index, out in enumerate(body.outputs):
+            self.utxos[Outpoint(tx.tx_id, index)] = out
+            out_sum += out.amount
+        if coinbase:
+            self.issued += out_sum
+        else:
+            self.burned += in_sum - out_sum
+
+
+def funding(model: TxModel, large: bool):
+    owners = [nid for _, nid in PARTIES] + (FILLER if large else [])
+    if model is TxModel.ACCOUNT:
+        return fund_accounts({nid: 10**6 for nid in owners})
+    return fund_utxos({nid: [1000, 1000, 1000] for nid in owners})
+
+
+# one funding per shape, shared by every example: a base is never written
+FUNDING = {(model, large): funding(model, large) for model in TxModel for large in (False, True)}
+
+
+def draw_payments(data, model: TxModel, work: Plain, count: int) -> list:
+    """count transactions, each valid on work after the ones before it."""
+    txs = []
+    for _ in range(count):
+        start = data.draw(st.integers(0, len(PARTIES) - 1))
+        recipient = PAYEES[data.draw(st.integers(0, len(PAYEES) - 1))]
+        if model is TxModel.ACCOUNT:
+            secret, sender = PARTIES[start]
+            amount = data.draw(st.integers(0, 1000))
+            body = AccountBody(recipient, amount, work.nonces.get(sender, 0))
+        else:
+            # the first party from start on that still owns an output
+            for k in range(len(PARTIES)):
+                secret, sender = PARTIES[(start + k) % len(PARTIES)]
+                owned = [op for op, out in work.utxos.items() if out.owner == sender]
+                if owned:
+                    break
+            inputs = tuple(owned[: data.draw(st.integers(1, 2))])
+            in_sum = sum(work.utxos[op].amount for op in inputs)
+            total = in_sum - (data.draw(st.integers(0, 2)) if in_sum > 4 else 0)
+            if total >= 2 and data.draw(st.booleans()):
+                half = total // 2
+                outputs = (TxOutput(recipient, half), TxOutput(sender, total - half))
+            else:
+                outputs = (TxOutput(recipient, total),)
+            body = UtxoBody(inputs, outputs)
+        tx = make_transaction(STUB, secret, sender, body)
+        work.apply(tx)
+        txs.append(tx)
+    return txs
+
+
+def invalid_payment(model: TxModel, parent: Plain):
+    """A payment the parent state refuses: a used nonce or a spent output."""
+    secret, sender = PARTIES[0]
+    recipient = PARTIES[1][1]
+    if model is TxModel.ACCOUNT:
+        nonce = parent.nonces.get(sender, 0)
+        body = AccountBody(recipient, 1, nonce - 1 if nonce else 50)
+    else:
+        used = [op for op in parent.spent if op.index == 0 and op.tx_id > 1 << 64]
+        ghost = min(used, key=lambda op: op.tx_id, default=Outpoint(12345, 0))
+        body = UtxoBody((ghost,), (TxOutput(recipient, 1),))
+    return make_transaction(STUB, secret, sender, body)
+
+
+def minted(parent: Block, txs: list, proposer_idx: int, model: TxModel, system_nonce: int):
+    secret_of = {nid: secret for secret, nid in PARTIES}
+    proposer = PARTIES[proposer_idx][1]
+    req = WitnessRequest(Block(parent.block_hash, parent.height + 1, proposer, tuple(txs)))
+    message = witness_message(req.block)
+    sigs = [
+        WitnessSignature(nid, STUB.sign(secret_of[nid], message))
+        for _, nid in PARTIES
+        if nid != proposer
+    ][: CFG.witness_m]
+    return mint_block(req, sigs, CFG, STUB, RULES[model], system_nonce)
+
+
+def replay_ancestry(state: ChainState, block_hash: int, genesis: Plain) -> Plain:
+    path = []
+    while block_hash != state.genesis.block_hash:
+        block = state.blocks[block_hash]
+        path.append(block)
+        block_hash = block.parent_hash
+    plain = genesis.copy()
+    for block in reversed(path):
+        for tx in block.transactions:
+            plain.apply(tx)
+    return plain
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(TxModel), large=st.booleans(), data=st.data())
+def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, data):
+    genesis_indices = FUNDING[model, large]
+    genesis = Plain.of(genesis_indices)
+    state = ChainState(CFG, STUB, genesis_indices, coinbase_rule=RULES[model])
+    stored = [state.genesis.block_hash]
+    for _ in range(data.draw(st.integers(1, 10), label="blocks")):
+        parent = state.blocks[stored[data.draw(st.integers(0, len(stored) - 1))]]
+        before = replay_ancestry(state, parent.block_hash, genesis)
+        work = before.copy()
+        txs = draw_payments(data, model, work, data.draw(st.integers(4, 5)))
+        poisoned = data.draw(st.integers(0, 4)) == 0
+        if poisoned:
+            txs.append(invalid_payment(model, before))
+
+        # a clone's writes never reach the snapshot it was cut from, even
+        # when cutting it collapsed that snapshot
+        source = state.snapshots[parent.block_hash]
+        twin = source.clone()
+        for tx in txs[: len(txs) - poisoned]:
+            twin.apply_tx(tx)
+        assert Plain.of(twin) == work
+        assert Plain.of(source) == before
+
+        system_nonce = before.nonces.get(SYSTEM_ID, 0)
+        block = minted(parent, txs, data.draw(st.integers(0, 7)), model, system_nonce)
+        if block.block_hash in state.blocks:
+            continue  # the same proposal drawn twice
+        result = state.apply_block(block)
+        assert result.stored is not poisoned
+        if result.stored:
+            stored.append(block.block_hash)
+        assert Plain.of(source) == before
+
+    for block_hash in state.blocks:
+        snapshot = state.snapshots[block_hash]
+        assert Plain.of(snapshot) == replay_ancestry(state, block_hash, genesis)
+        if large:  # too few writes to collapse: every snapshot shares the base
+            assert snapshot._balances_base is genesis_indices._balances_base
+            assert snapshot._utxos_base is genesis_indices._utxos_base
+    state.assert_replay_matches()
+
+
+def test_clone_collapses_exactly_past_the_rule():
+    # written**2 > 64 * (base size + 1): over 8 funded accounts the bound is
+    # 576, so an overlay of 24 written entries is kept and one of 25 collapses
+    secret, sender = PARTIES[0]
+    for payees, collapses in ((22, False), (23, True)):
+        indices = fund_accounts({nid: 10**6 for _, nid in PARTIES})
+        base = indices._balances_base
+        # the sender's nonce and balance, then one balance per payee
+        for nonce, payee in enumerate(FILLER[:payees]):
+            indices.apply_tx(make_transaction(STUB, secret, sender, AccountBody(payee, 1, nonce)))
+        content = Plain.of(indices)
+        twin = indices.clone()
+        assert (indices._balances_base is not base) is collapses
+        assert twin._balances_base is indices._balances_base
+        assert Plain.of(indices) == Plain.of(twin) == content

@@ -213,6 +213,19 @@ def test_sign_witness_refuses_invalid_block():
     assert isinstance(out, Refusal) and out.reason is RefusalReason.INVALID_BLOCK
 
 
+def test_sign_witness_refuses_candidate_carrying_a_coinbase():
+    # minting appends the coinbase; a candidate that already has one can
+    # never become an acceptable block
+    parties = keys(5)
+    state = fresh_state(parties)
+    _, proposer = parties[0]
+    grant = coinbase_transaction(AccountBody(proposer, 10**12, 0))
+    block = Block(state.head.block_hash, 1, proposer, tuple(payments(parties, 4)) + (grant,))
+    wsecret, wid = parties[3]
+    out = sign_witness(wsecret, wid, WitnessRequest(block), state, CFG, {})
+    assert isinstance(out, Refusal) and out.reason is RefusalReason.INVALID_BLOCK
+
+
 def test_sign_witness_refuses_second_digest_at_height_but_resigns_same():
     parties = keys(6)
     state = fresh_state(parties)
