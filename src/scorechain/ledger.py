@@ -9,9 +9,9 @@ depth, the branch whose first block has the lower score wins. Because the
 rule looks only at the block tree, any two nodes holding the same blocks
 follow the same path, whatever order the blocks arrived in.
 
-Every stored block keeps a snapshot of the transaction indices (balances,
-nonces, unspent and spent outputs) after it, so switching branches is a
-pointer move, not an unwind. A snapshot is a frozen base shared with its
+Every stored block keeps a snapshot of the live state (balances, nonces and
+unspent outputs; no spent-output history) after it, so switching branches is
+a pointer move, not an unwind. A snapshot is a frozen base shared with its
 relatives plus an overlay of the writes made since that base was built, so a
 block costs about its own writes, not the account count (see TxIndices for
 when an overlay is merged into a fresh base). A replay oracle can recompute
@@ -32,7 +32,6 @@ from .core_types import (
     AccountBody,
     Block,
     ChainConfig,
-    COINBASE_INDEX,
     FORMAT_TAG,
     NodeId,
     Outpoint,
@@ -82,7 +81,9 @@ class TxReject(Enum):
 
 
 # Head-state verdicts after which a mempool transaction can never become
-# valid again (absent a deep reorg): its nonce or input is already used.
+# valid again (absent a deep reorg): its nonce is used, or an input is spent
+# or never existed (the live state cannot tell the two apart), or it repeats
+# an input.
 DEAD_TX = frozenset(
     {TxReject.NONCE_REUSE, TxReject.DOUBLE_SPEND, TxReject.UNKNOWN_INPUT}
 )
@@ -104,9 +105,14 @@ def _merged(base: dict, overlay: dict) -> dict:
 
 
 class TxIndices:
-    """Value state after some chain prefix: balances, nonces, UTXO set, spent.
+    """Live value state after some chain prefix: balances, nonces, UTXO set.
 
-    Each of the four maps is a frozen base plus this snapshot's own overlay
+    No spent-output history is kept: a spent output is simply gone, and it
+    can never come back, since a tx_id commits to the inputs it consumes. So
+    an already-spent input and a never-created one get the same verdict,
+    UNKNOWN_INPUT.
+
+    Each of the three maps is a frozen base plus this snapshot's own overlay
     of writes. Reads look in the overlay first, then in the base; a spent
     UTXO is a None tombstone in the overlay. A base is never written after
     it is built, so every snapshot cloned from it may share it.
@@ -121,7 +127,7 @@ class TxIndices:
     each collapse: a small state collapses every few blocks of fresh keys, a
     large one keeps per-block memory at the size of the overlay.
 
-    balances, nonces, utxos and spent are merged read-only copies for tests
+    balances, nonces and utxos are merged read-only copies for tests
     and reports; the validation and application paths use point lookups.
 
     issued counts all value ever created (initial allocation plus coinbase);
@@ -133,7 +139,6 @@ class TxIndices:
         "_balances", "_balances_base",
         "_nonces", "_nonces_base",
         "_utxos", "_utxos_base",
-        "_spent", "_spent_base",
         "issued", "burned",
     )
 
@@ -142,7 +147,6 @@ class TxIndices:
         balances: "dict[NodeId, int] | None" = None,
         nonces: "dict[NodeId, int] | None" = None,
         utxos: "dict[Outpoint, TxOutput] | None" = None,
-        spent: "set[Outpoint] | None" = None,
         issued: int = 0,
         burned: int = 0,
     ) -> None:
@@ -150,23 +154,16 @@ class TxIndices:
         self._balances_base = balances if balances is not None else {}
         self._nonces_base = nonces if nonces is not None else {}
         self._utxos_base = utxos if utxos is not None else {}
-        self._spent_base = frozenset(spent or ())
         self._balances: dict[NodeId, int] = {}
         self._nonces: dict[NodeId, int] = {}
         self._utxos: "dict[Outpoint, TxOutput | None]" = {}
-        self._spent: set[Outpoint] = set()
         self.issued = issued
         self.burned = burned
 
     def clone(self) -> "TxIndices":
-        written = (
-            len(self._balances) + len(self._nonces) + len(self._utxos) + len(self._spent)
-        )
+        written = len(self._balances) + len(self._nonces) + len(self._utxos)
         base_size = (
-            len(self._balances_base)
-            + len(self._nonces_base)
-            + len(self._utxos_base)
-            + len(self._spent_base)
+            len(self._balances_base) + len(self._nonces_base) + len(self._utxos_base)
         )
         if written * written > 64 * (base_size + 1):
             self._collapse()
@@ -174,11 +171,9 @@ class TxIndices:
         twin._balances_base = self._balances_base
         twin._nonces_base = self._nonces_base
         twin._utxos_base = self._utxos_base
-        twin._spent_base = self._spent_base
         twin._balances = dict(self._balances)
         twin._nonces = dict(self._nonces)
         twin._utxos = dict(self._utxos)
-        twin._spent = set(self._spent)
         twin.issued = self.issued
         twin.burned = self.burned
         return twin
@@ -188,8 +183,7 @@ class TxIndices:
         self._balances_base = _merged(self._balances_base, self._balances)
         self._nonces_base = _merged(self._nonces_base, self._nonces)
         self._utxos_base = _merged(self._utxos_base, self._utxos)
-        self._spent_base = self._spent_base | self._spent
-        self._balances, self._nonces, self._utxos, self._spent = {}, {}, {}, set()
+        self._balances, self._nonces, self._utxos = {}, {}, {}
 
     # -- merged views (tests, reports, the replay oracle) ----------------------
 
@@ -205,37 +199,25 @@ class TxIndices:
     def utxos(self) -> Mapping[Outpoint, TxOutput]:
         return MappingProxyType(_merged(self._utxos_base, self._utxos))
 
-    @property
-    def spent(self) -> frozenset[Outpoint]:
-        return self._spent_base | self._spent
-
     def __eq__(self, other: object) -> bool:
         """Equal content, however each side splits it between base and overlay."""
         if not isinstance(other, TxIndices):
             return NotImplemented
         return all(
             getattr(self, name) == getattr(other, name)
-            for name in ("balances", "nonces", "utxos", "spent", "issued", "burned")
+            for name in ("balances", "nonces", "utxos", "issued", "burned")
         )
 
     # -- validation ---------------------------------------------------------
 
-    def validate_tx(
-        self,
-        tx: Transaction,
-        scheme: SignatureScheme,
-        expected_height: "int | None" = None,
-        in_block: bool = False,
-    ) -> "TxReject | None":
-        """None if the transaction applies cleanly here, else the reason.
+    def validate_tx(self, tx: Transaction, scheme: SignatureScheme) -> "TxReject | None":
+        """None if the user transaction applies cleanly here, else the reason.
 
-        System (coinbase) transactions are only legal inside blocks;
-        expected_height pins the UTXO coinbase height marker when known.
+        A system (coinbase) transaction is always BAD_COINBASE here: a block's
+        coinbase is checked only by equality with the chain's coinbase rule.
         """
         if tx.is_coinbase():
-            if not in_block:
-                return TxReject.BAD_COINBASE
-            return self._validate_coinbase(tx, expected_height)
+            return TxReject.BAD_COINBASE
         body = tx.body
         if isinstance(body, AccountBody):
             sender = tx.sender
@@ -268,12 +250,9 @@ class TxIndices:
             return TxReject.EMPTY_OUTPUTS
         if len(set(body.inputs)) != len(body.inputs):
             return TxReject.DOUBLE_SPEND
-        spent, spent_base = self._spent, self._spent_base
         utxos, utxos_base = self._utxos, self._utxos_base
         in_sum = 0
         for op in body.inputs:
-            if op in spent or op in spent_base:
-                return TxReject.DOUBLE_SPEND
             held = utxos.get(op, _ABSENT)
             if held is _ABSENT:
                 held = utxos_base.get(op)
@@ -284,29 +263,6 @@ class TxIndices:
             in_sum += held.amount
         if sum(out.amount for out in body.outputs) > in_sum:
             return TxReject.OUTPUT_EXCEEDS_INPUT
-        return None
-
-    def _validate_coinbase(
-        self, tx: Transaction, expected_height: "int | None"
-    ) -> "TxReject | None":
-        body = tx.body
-        if isinstance(body, AccountBody):
-            expected = self._nonces.get(SYSTEM_ID)
-            if expected is None:
-                expected = self._nonces_base.get(SYSTEM_ID, 0)
-            if body.nonce != expected:
-                return TxReject.BAD_COINBASE
-            return None
-        if len(body.inputs) != 1 or not body.outputs:
-            return TxReject.BAD_COINBASE
-        marker = body.inputs[0]
-        if marker.index != COINBASE_INDEX:
-            return TxReject.BAD_COINBASE
-        if expected_height is not None and marker.tx_id != expected_height:
-            return TxReject.BAD_COINBASE
-        if marker in self._spent or marker in self._spent_base:
-            # two coinbase grants in one block would share the height marker
-            return TxReject.BAD_COINBASE
         return None
 
     # -- application --------------------------------------------------------
@@ -330,18 +286,16 @@ class TxIndices:
                 held = self._balances_base.get(body.recipient, 0)
             balances[body.recipient] = held + body.amount
             return
-        utxos, spent = self._utxos, self._spent
+        utxos = self._utxos
         in_sum = 0
-        for op in body.inputs:
-            if coinbase:
-                spent.add(op)
-                continue
+        # a coinbase's one input is its height marker, not an output
+        inputs = () if coinbase else body.inputs
+        for op in inputs:
             held = utxos.get(op, _ABSENT)
             if held is _ABSENT:
                 held = self._utxos_base[op]
             in_sum += held.amount
             utxos[op] = None
-            spent.add(op)
         out_sum = 0
         for index, out in enumerate(body.outputs):
             utxos[Outpoint(tx.tx_id, index)] = out
@@ -498,9 +452,6 @@ class ChainState:
     def head_indices(self) -> TxIndices:
         return self.snapshots[self.head.block_hash]
 
-    def head_indices_clone(self) -> TxIndices:
-        return self.head_indices().clone()
-
     def system_nonce_at(self, block_hash: int) -> int:
         indices = self.snapshots[block_hash]
         nonce = indices._nonces.get(SYSTEM_ID)
@@ -598,8 +549,8 @@ class ChainState:
         reason = self._apply_txs(block, parent)
         if reason is not None:
             return reason
-        # the coinbase must be exactly what the chain's rule prescribes;
-        # without a rule, no system transaction is legitimate
+        # the one coinbase check: the system transactions must be exactly what
+        # the chain's rule prescribes; without a rule, none is legitimate
         expected: tuple[Transaction, ...] = ()
         if self.coinbase_rule is not None:
             system_nonce = self.system_nonce_at(parent.block_hash)
@@ -630,12 +581,9 @@ class ChainState:
             return None
         indices = self.snapshots[parent.block_hash].clone()
         for tx in block.transactions:
-            reject = indices.validate_tx(
-                tx, self.scheme, expected_height=block.height, in_block=True
-            )
-            if reject is not None:
-                if reject is TxReject.BAD_COINBASE:
-                    return BlockReject.BAD_COINBASE
+            # system transactions are checked afterwards, by equality with
+            # the coinbase rule
+            if not tx.is_coinbase() and indices.validate_tx(tx, self.scheme) is not None:
                 return BlockReject.INVALID_TX
             indices.apply_tx(tx)
         self.snapshots[block.block_hash] = indices

@@ -187,6 +187,13 @@ class SimConfig:
             raise SimConfigError("proposal_timeout", "must be positive")
         if self.scheme not in ("stub", "ed25519"):
             raise SimConfigError("scheme", "must be 'stub' or 'ed25519'")
+        # below these no block can ever be proposed
+        for key in ("max_block_txs", "mempool_cap"):
+            if getattr(self, key) < self.chain.tx_count_min:
+                raise SimConfigError(key, "must be at least chain.tx_count_min")
+        for key in ("genesis_units", "genesis_outputs", "utxo_unit"):
+            if getattr(self, key) < 1:
+                raise SimConfigError(key, "must be positive")
         self.latency.validate()
 
     def to_dict(self) -> dict:
@@ -772,7 +779,7 @@ class InvalidPushAdversary(AdversaryNode):
         sim = self.sim
         cfg = sim.cfg
         filler: list[Transaction] = []
-        indices = self.state.head_indices_clone()
+        indices = self.state.head_indices().clone()
         for _ in range(cfg.chain.tx_count_min - 1):
             tx = self.build_payment()
             if tx is None or indices.validate_tx(tx, sim.scheme) is not None:

@@ -138,7 +138,7 @@ def propose_block(
     """
     from .ledger import DEAD_TX  # ledger imports this module
 
-    indices = state.head_indices_clone()
+    indices = state.head_indices().clone()
     cap = max_txs if max_txs is not None else max(cfg.tx_count_min, 16)
     selected: list[Transaction] = []
     for tx in mempool:

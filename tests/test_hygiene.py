@@ -1,0 +1,69 @@
+"""Source hygiene: every import in the package modules is used.
+
+Stdlib only. ``__init__.py`` is skipped, since its imports are re-exports.
+A name counts as used when it is loaded anywhere in the module, including
+inside a string annotation such as ``"TxIndices | None"``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scorechain"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line that binds it."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = sorted(
+        f"{path.name}:{line} {name}"
+        for name, line in imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_checker_sees_string_annotations_and_unused_names():
+    tree = ast.parse(
+        "from typing import Mapping, Sequence\n"
+        "import json\n"
+        "def f(x: 'Mapping[str, int] | None') -> None:\n"
+        "    pass\n"
+    )
+    assert sorted(set(imported_names(tree)) - used_names(tree)) == ["Sequence", "json"]

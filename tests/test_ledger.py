@@ -9,6 +9,7 @@ import pytest
 from scorechain.core_types import (
     AccountBody,
     Block,
+    COINBASE_INDEX,
     ChainConfig,
     Outpoint,
     SerializationError,
@@ -109,17 +110,16 @@ def test_account_verdicts():
 
 
 def test_coinbase_only_legal_inside_blocks():
+    # a block's coinbase is checked only against the chain's coinbase rule
+    # (see the block-level coinbase tests below); applying one mints value
     (_, a), = keys(1)
     idx = fund_accounts({a: 10})
     cb = coinbase_transaction(AccountBody(a, 50, 0))
     assert idx.validate_tx(cb, STUB) is TxReject.BAD_COINBASE
-    assert idx.validate_tx(cb, STUB, in_block=True) is None
     idx.apply_tx(cb)
     assert idx.balances[a] == 60
     assert idx.issued == 60
     assert idx.nonces[SYSTEM_ID] == 1
-    stale = coinbase_transaction(AccountBody(a, 50, 0))
-    assert idx.validate_tx(stale, STUB, in_block=True) is TxReject.BAD_COINBASE
 
 
 # -- utxo-model transaction verdicts ----------------------------------------------
@@ -136,12 +136,12 @@ def test_utxo_verdicts():
     assert idx.validate_tx(spend, STUB) is None
     idx.apply_tx(spend)
     assert grant_op(a) not in idx.utxos
-    assert grant_op(a) in idx.spent
     assert idx.utxos[Outpoint(spend.tx_id, 0)] == TxOutput(c, 70)
     assert idx.burned == 5  # 100 in, 95 out
 
+    # a spent output is gone from the live state, like one never created
     again = make_transaction(STUB, sa, a, UtxoBody((grant_op(a),), (TxOutput(c, 1),)))
-    assert idx.validate_tx(again, STUB) is TxReject.DOUBLE_SPEND
+    assert idx.validate_tx(again, STUB) is TxReject.UNKNOWN_INPUT
     ghost = make_transaction(
         STUB, sa, a, UtxoBody((Outpoint(123456, 0),), (TxOutput(c, 1),))
     )
@@ -295,6 +295,22 @@ def test_apply_block_rejects_invalid_transaction():
     assert result.reason is BlockReject.INVALID_TX
 
 
+def with_coinbase(block, coinbase):
+    """block with coinbase appended; its witness certificate stays valid."""
+    txs = block.transactions + tuple(coinbase)
+    return Block(block.parent_hash, block.height, block.proposer, txs).with_witnesses(
+        block.witness_sigs
+    )
+
+
+def assert_bad_coinbase_changes_nothing(state, block):
+    head, value = state.head, total_value(state.head_indices())
+    result = state.apply_block(block)
+    assert (result.status, result.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
+    assert state.head is head
+    assert total_value(state.head_indices()) == value
+
+
 def test_coinbase_rule_enforced_on_minted_blocks():
     parties = keys(6)
     schedule = RewardSchedule(50, 5)
@@ -308,10 +324,7 @@ def test_coinbase_rule_enforced_on_minted_blocks():
 
     witnesses = tuple(node for node, _ in bare.witness_sigs)
     expected = rule(bare, witnesses, 0)
-    paid = Block(g, 1, bare.proposer, tuple(txs) + expected).with_witnesses(
-        bare.witness_sigs
-    )
-    result = state.apply_block(paid)
+    result = state.apply_block(with_coinbase(bare, expected))
     assert result.status is ApplyStatus.ACCEPTED
     idx = state.head_indices()
     _, proposer = parties[0]
@@ -321,11 +334,49 @@ def test_coinbase_rule_enforced_on_minted_blocks():
     # wrong amount fails the exact-match rule
     fake = rule(bare, witnesses, 0)
     wrong = coinbase_transaction(AccountBody(bare.proposer, 51, 0))
-    tampered = Block(g, 1, bare.proposer, tuple(txs) + (wrong,) + fake[1:]).with_witnesses(
-        bare.witness_sigs
-    )
+    tampered = with_coinbase(bare, (wrong,) + fake[1:])
     state2 = fresh_state(parties, coinbase_rule=rule)
     assert state2.apply_block(tampered).reason is BlockReject.BAD_COINBASE
+
+
+def test_stale_account_coinbase_nonce_rejected():
+    parties = keys(6)
+    rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.ACCOUNT)
+    state = fresh_state(parties, coinbase_rule=rule)
+    first = minted(state.genesis.block_hash, 1, payments(parties, 4), parties)
+    witnesses = tuple(node for node, _ in first.witness_sigs)
+    paid = with_coinbase(first, rule(first, witnesses, 0))
+    assert state.apply_block(paid).status is ApplyStatus.ACCEPTED
+    assert state.system_nonce_at(paid.block_hash) == 3  # proposer + 2 witnesses
+
+    second = minted(paid.block_hash, 2, payments(parties, 4, nonce=1), parties)
+    assert_bad_coinbase_changes_nothing(state, with_coinbase(second, rule(second, witnesses, 0)))
+    fresh = with_coinbase(second, rule(second, witnesses, 3))
+    assert state.apply_block(fresh).status is ApplyStatus.ACCEPTED
+
+
+def test_utxo_coinbase_height_marker_rejected_unless_prescribed():
+    parties = keys(6, tag=b"C")
+    rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.UTXO)
+    funding = fund_utxos({nid: [1000] for _, nid in parties})
+    state = ChainState(CFG, STUB, funding, coinbase_rule=rule)
+    txs = [
+        make_transaction(
+            STUB, secret, nid, UtxoBody((grant_op(nid),), (TxOutput(parties[i + 1][1], 1000),))
+        )
+        for i, (secret, nid) in enumerate(parties[:4])
+    ]
+    bare = minted(state.genesis.block_hash, 1, txs, parties)
+    (prescribed,) = rule(bare, tuple(node for node, _ in bare.witness_sigs), 0)
+    marker = prescribed.body.inputs[0]
+    assert marker == Outpoint(1, COINBASE_INDEX)
+
+    misplaced = UtxoBody((Outpoint(2, COINBASE_INDEX),), prescribed.body.outputs)
+    assert_bad_coinbase_changes_nothing(state, with_coinbase(bare, [coinbase_transaction(misplaced)]))
+    # a second grant under the same marker, beside the prescribed one
+    extra = coinbase_transaction(UtxoBody((marker,), (TxOutput(bare.proposer, 1),)))
+    assert_bad_coinbase_changes_nothing(state, with_coinbase(bare, [prescribed, extra]))
+    assert state.apply_block(with_coinbase(bare, [prescribed])).status is ApplyStatus.ACCEPTED
 
 
 def test_ruleless_ledger_rejects_any_system_transaction(tmp_path):
@@ -336,7 +387,7 @@ def test_ruleless_ledger_rejects_any_system_transaction(tmp_path):
     bare = minted(g, 1, txs, parties)
     grant = coinbase_transaction(AccountBody(bare.proposer, 10**12, 0))
     # the certificate covers user transactions only, so it still verifies
-    forged = Block(g, 1, bare.proposer, txs + (grant,)).with_witnesses(bare.witness_sigs)
+    forged = with_coinbase(bare, (grant,))
     assert witness_message(forged) == witness_message(bare)
 
     result = state.apply_block(forged)
@@ -690,6 +741,33 @@ def test_memory_per_block_is_its_writes_not_the_account_count():
         tracemalloc.stop()
     assert state.height == 30
     assert per_block < 128 * 1024
+
+
+def test_head_snapshot_stores_only_live_outputs():
+    # 200 single-input spends around a fixed four-key wallet: the live set
+    # stays at four outputs, and so does a collapsed snapshot, whatever the
+    # spent history
+    parties = keys(6, tag=b"W")
+    wallet = parties[:4]
+    state = ChainState(CFG, STUB, fund_utxos({nid: [1000] for _, nid in wallet}))
+    held = {nid: grant_op(nid) for _, nid in wallet}
+    for height in range(1, 51):
+        txs = []
+        for i, (secret, nid) in enumerate(wallet):
+            payee = wallet[(i + 1) % len(wallet)][1]
+            txs.append(
+                make_transaction(STUB, secret, nid, UtxoBody((held[nid],), (TxOutput(payee, 1000),)))
+            )
+        block = minted(state.head.block_hash, height, txs, parties)
+        assert state.apply_block(block).status is ApplyStatus.ACCEPTED
+        held = {tx.body.outputs[0].owner: Outpoint(tx.tx_id, 0) for tx in txs}
+
+    head = state.head_indices()
+    head._collapse()
+    stored = sum(len(getattr(head, name)) for name in head.__slots__ if name.startswith("_"))
+    assert len(head.utxos) == len(wallet)
+    assert stored == len(wallet)
+    assert total_value(head) == 4000
 
 
 def test_shared_caches_serve_second_ledger():

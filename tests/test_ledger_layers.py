@@ -45,7 +45,6 @@ class Plain:
     balances: dict
     nonces: dict
     utxos: dict
-    spent: set
     issued: int
     burned: int
 
@@ -55,7 +54,6 @@ class Plain:
             dict(indices.balances),
             dict(indices.nonces),
             dict(indices.utxos),
-            set(indices.spent),
             indices.issued,
             indices.burned,
         )
@@ -65,7 +63,6 @@ class Plain:
             dict(self.balances),
             dict(self.nonces),
             dict(self.utxos),
-            set(self.spent),
             self.issued,
             self.burned,
         )
@@ -82,10 +79,9 @@ class Plain:
             self.balances[body.recipient] = self.balances.get(body.recipient, 0) + body.amount
             return
         in_sum = 0
-        for op in body.inputs:
-            if not coinbase:
+        if not coinbase:
+            for op in body.inputs:
                 in_sum += self.utxos.pop(op).amount
-            self.spent.add(op)
         out_sum = 0
         for index, out in enumerate(body.outputs):
             self.utxos[Outpoint(tx.tx_id, index)] = out
@@ -139,15 +135,25 @@ def draw_payments(data, model: TxModel, work: Plain, count: int) -> list:
     return txs
 
 
-def invalid_payment(model: TxModel, parent: Plain):
-    """A payment the parent state refuses: a used nonce or a spent output."""
+def invalid_payment(model: TxModel, parent: Plain, path: list):
+    """A payment the parent state refuses: a used nonce or a spent output.
+
+    The ledger keeps no spent history, so the spent output is drawn from the
+    payments on path, the parent's ancestry.
+    """
     secret, sender = PARTIES[0]
     recipient = PARTIES[1][1]
     if model is TxModel.ACCOUNT:
         nonce = parent.nonces.get(sender, 0)
         body = AccountBody(recipient, 1, nonce - 1 if nonce else 50)
     else:
-        used = [op for op in parent.spent if op.index == 0 and op.tx_id > 1 << 64]
+        used = [
+            op
+            for block in path
+            for tx in block.transactions
+            if not tx.is_coinbase()
+            for op in tx.body.inputs
+        ]
         ghost = min(used, key=lambda op: op.tx_id, default=Outpoint(12345, 0))
         body = UtxoBody((ghost,), (TxOutput(recipient, 1),))
     return make_transaction(STUB, secret, sender, body)
@@ -166,14 +172,19 @@ def minted(parent: Block, txs: list, proposer_idx: int, model: TxModel, system_n
     return mint_block(req, sigs, CFG, STUB, RULES[model], system_nonce)
 
 
-def replay_ancestry(state: ChainState, block_hash: int, genesis: Plain) -> Plain:
+def ancestry(state: ChainState, block_hash: int) -> list:
+    """The stored blocks from height 1 up to block_hash."""
     path = []
     while block_hash != state.genesis.block_hash:
         block = state.blocks[block_hash]
         path.append(block)
         block_hash = block.parent_hash
+    return path[::-1]
+
+
+def replay_ancestry(state: ChainState, block_hash: int, genesis: Plain) -> Plain:
     plain = genesis.copy()
-    for block in reversed(path):
+    for block in ancestry(state, block_hash):
         for tx in block.transactions:
             plain.apply(tx)
     return plain
@@ -193,7 +204,7 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
         txs = draw_payments(data, model, work, data.draw(st.integers(4, 5)))
         poisoned = data.draw(st.integers(0, 4)) == 0
         if poisoned:
-            txs.append(invalid_payment(model, before))
+            txs.append(invalid_payment(model, before, ancestry(state, parent.block_hash)))
 
         # a clone's writes never reach the snapshot it was cut from, even
         # when cutting it collapsed that snapshot

@@ -40,6 +40,15 @@ def test_validation_names_the_offending_key():
         (SimConfig(proposal_timeout=0), "proposal_timeout"),
         (SimConfig(scheme="rsa"), "scheme"),
         (SimConfig(latency=LatencySpec("uniform", 5, 2)), "latency"),
+        # settings under which no block can ever be proposed
+        (SimConfig(max_block_txs=0), "max_block_txs"),
+        (SimConfig(max_block_txs=3), "max_block_txs"),  # below tx_count_min=4
+        (SimConfig(mempool_cap=0), "mempool_cap"),
+        (SimConfig(mempool_cap=3), "mempool_cap"),
+        (SimConfig(genesis_units=0), "genesis_units"),
+        (SimConfig(genesis_outputs=0), "genesis_outputs"),
+        (SimConfig(tx_model=TxModel.UTXO, utxo_unit=0), "utxo_unit"),
+        (SimConfig(utxo_unit=-1), "utxo_unit"),
     ]
     for cfg, key in cases:
         with pytest.raises(SimConfigError) as err:
