@@ -22,7 +22,6 @@ bookkeeping.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -360,7 +359,6 @@ class ApplyStatus(Enum):
 class ApplyResult:
     status: ApplyStatus
     reason: "BlockReject | None" = None
-    reapplied_orphans: int = 0
 
     @property
     def stored(self) -> bool:
@@ -437,11 +435,9 @@ class ChainState:
         self.verdicts = verdict_cache if verdict_cache is not None else {}
         self.fork_events: list[tuple[int, int]] = []  # (first block, new head)
 
-        self._orphans: dict[int, list[Block]] = {}
-        self._orphan_hashes: set[int] = set()
-        self._orphan_queue: deque[tuple[int, int]] = deque()  # (op, block_hash)
+        # block hash -> (stats.applies when buffered, block), in buffer order
+        self._orphans: dict[int, tuple[int, Block]] = {}
         self._expired: set[int] = set()
-        self._ops = 0
 
     # -- views ---------------------------------------------------------------
 
@@ -484,12 +480,11 @@ class ChainState:
     # -- block admission ------------------------------------------------------
 
     def apply_block(self, block: Block) -> ApplyResult:
-        self._ops += 1
         self.stats.applies += 1
-        if self._ops % 32 == 0:
+        if self.stats.applies % 32 == 0:
             self._prune_orphans()
         h = block.block_hash
-        if h in self.blocks or h in self._orphan_hashes:
+        if h in self.blocks or h in self._orphans:
             return ApplyResult(ApplyStatus.REJECTED, BlockReject.DUPLICATE)
         if block.height == 0:
             self.stats.rejects += 1
@@ -509,8 +504,8 @@ class ChainState:
             return ApplyResult(ApplyStatus.REJECTED, reason)
         self._insert(block)
         status = self._reselect(block)
-        drained = self._drain_orphans(h)
-        return ApplyResult(status, reapplied_orphans=drained)
+        self._drain_orphans(h)
+        return ApplyResult(status)
 
     def _insert(self, block: Block) -> None:
         h = block.block_hash
@@ -614,48 +609,34 @@ class ChainState:
     # -- orphan pool -------------------------------------------------------------
 
     def _buffer_orphan(self, block: Block) -> None:
-        if len(self._orphan_hashes) >= self.max_orphans:
-            self._evict_one_orphan()
-        h = block.block_hash
-        self._orphans.setdefault(block.parent_hash, []).append(block)
-        self._orphan_hashes.add(h)
-        self._orphan_queue.append((self._ops, h))
-
-    def _evict_one_orphan(self) -> None:
-        while self._orphan_queue:
-            _, h = self._orphan_queue.popleft()
-            if h in self._orphan_hashes:
-                self._discard_orphan(h)
-                return
+        if self._orphans and len(self._orphans) >= self.max_orphans:
+            self._discard_orphan(next(iter(self._orphans)))
+        self._orphans[block.block_hash] = (self.stats.applies, block)
 
     def _discard_orphan(self, h: int) -> None:
-        self._orphan_hashes.discard(h)
+        del self._orphans[h]
         self._expired.add(h)
         self.stats.orphans_expired += 1
-        for parent_hash, waiting in list(self._orphans.items()):
-            kept = [b for b in waiting if b.block_hash != h]
-            if kept:
-                self._orphans[parent_hash] = kept
-            else:
-                self._orphans.pop(parent_hash, None)
 
     def _prune_orphans(self) -> None:
-        horizon = self._ops - self.orphan_timeout
-        while self._orphan_queue and self._orphan_queue[0][0] < horizon:
-            _, h = self._orphan_queue.popleft()
-            if h in self._orphan_hashes:
-                self._discard_orphan(h)
+        horizon = self.stats.applies - self.orphan_timeout
+        while self._orphans:
+            h, (buffered_at, _) = next(iter(self._orphans.items()))
+            if buffered_at >= horizon:
+                return
+            self._discard_orphan(h)
 
-    def _drain_orphans(self, parent_hash: int) -> int:
-        waiting = self._orphans.pop(parent_hash, None)
-        if not waiting:
-            return 0
-        drained = 0
+    def _drain_orphans(self, parent_hash: int) -> None:
+        """Apply the orphans waiting on parent_hash, in buffer order.
+
+        Each stays in the pool until its turn, so a prune run by an earlier
+        apply of the drain counts it as expired; it is applied all the same,
+        since its parent is now stored.
+        """
+        waiting = [b for _, b in self._orphans.values() if b.parent_hash == parent_hash]
         for block in waiting:
-            self._orphan_hashes.discard(block.block_hash)
-            result = self.apply_block(block)
-            drained += 1 + result.reapplied_orphans
-        return drained
+            self._orphans.pop(block.block_hash, None)
+            self.apply_block(block)
 
     # -- fork choice -------------------------------------------------------------
 

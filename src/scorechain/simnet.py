@@ -33,6 +33,7 @@ from .core_types import (
     ChainConfig,
     MAX_HASH,
     NodeId,
+    Outpoint,
     SignatureScheme,
     Transaction,
     TxModel,
@@ -169,8 +170,9 @@ class SimConfig:
     trace: bool = False
 
     def validate(self) -> None:
-        if self.n_nodes < 2:
-            raise SimConfigError("n_nodes", "need at least 2 nodes")
+        # a proposer cannot witness its own block
+        if self.n_nodes <= self.chain.witness_m:
+            raise SimConfigError("n_nodes", "must exceed chain.witness_m")
         if not 0.0 <= self.adversary_fraction <= 1.0:
             raise SimConfigError("adversary_fraction", "must be in [0, 1]")
         if not 0.0 < self.delivery_ratio <= 1.0:
@@ -342,7 +344,6 @@ class ForkWinGossip:
 @dataclass(frozen=True, slots=True)
 class PullReq:
     want: int  # block hash the sender is missing
-    asker: int  # node index to reply to
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,13 +456,10 @@ class HonestNode:
         self.mempool: dict[int, Transaction] = {}
         self.witness_log: dict[int, int] = {}
         self.pending: "_Pending | None" = None
-        self.forwarded: set[int] = set()
         self.wallet_nonce = 0
         self.wallet_grants: deque = deque()
-        # confirmation history for misled detection
-        self.ever_confirmed: dict[int, int] = {0: self.state.genesis.block_hash}
-        self.recorded_to = 0
-        self.self_conflicted = False
+        # the block first confirmed at each height, for misled detection
+        self.first_confirmed: list[int] = [self.state.genesis.block_hash]
 
     # -- wallet ------------------------------------------------------------
 
@@ -532,7 +530,7 @@ class HonestNode:
 
     # -- message handlers ------------------------------------------------------
 
-    def on_witness_request(self, msg: WitnessReqMsg) -> None:
+    def on_witness_request(self, msg: WitnessReqMsg, sender: int) -> None:
         result = sign_witness(
             self.secret,
             self.node_id,
@@ -542,11 +540,7 @@ class HonestNode:
             self.witness_log,
         )
         if isinstance(result, WitnessSignature):
-            proposer_idx = self.sim.index_of.get(msg.req.proposer)
-            if proposer_idx is not None:
-                self.sim.send(
-                    self.index, proposer_idx, WitnessSigMsg(msg.req.block_hash, result)
-                )
+            self.sim.send(self.index, sender, WitnessSigMsg(msg.req.block_hash, result))
 
     def on_witness_sig(self, msg: WitnessSigMsg) -> None:
         pending = self.pending
@@ -581,15 +575,13 @@ class HonestNode:
     def handle_block(self, block: Block, pull_from: "int | None" = None) -> None:
         result = self.state.apply_block(block)
         if result.status is ApplyStatus.ORPHANED and pull_from is not None:
-            self.sim.send(self.index, pull_from, PullReq(block.parent_hash, self.index))
-        if result.stored or result.reapplied_orphans:
+            self.sim.send(self.index, pull_from, PullReq(block.parent_hash))
+        if result.stored:
             if self.pending is not None and self.state.height >= self.pending.req.height:
                 self.pending = None  # someone else won the height; move on
-            if (
-                result.status in (ApplyStatus.ACCEPTED, ApplyStatus.SWITCHED)
-                and block.block_hash not in self.forwarded
-            ):
-                self.forwarded.add(block.block_hash)
+            # only the apply that stores a block reports it accepted, so each
+            # block is broadcast once
+            if result.status in (ApplyStatus.ACCEPTED, ApplyStatus.SWITCHED):
                 self.sim.broadcast(self.index, BlockGossip(block))
             self.emit_fork_wins()
             self.record_confirmations()
@@ -606,9 +598,9 @@ class HonestNode:
         # needs nothing more; an unknown one is pulled from the announcer
         head = gossip.msg.branch_head
         if not self.state.has_block(head):
-            self.sim.send(self.index, from_idx, PullReq(head, self.index))
+            self.sim.send(self.index, from_idx, PullReq(head))
 
-    def on_pull_req(self, msg: PullReq) -> None:
+    def on_pull_req(self, msg: PullReq, sender: int) -> None:
         want = self.state.blocks.get(msg.want)
         if want is None:
             return
@@ -620,7 +612,7 @@ class HonestNode:
             chain.append(cursor)
             cursor = self.state.blocks.get(cursor.parent_hash)
         if chain:
-            self.sim.send(self.index, msg.asker, PullReply(tuple(reversed(chain))))
+            self.sim.send(self.index, sender, PullReply(tuple(reversed(chain))))
 
     def on_pull_reply(self, msg: PullReply) -> None:
         for block in msg.blocks:
@@ -636,24 +628,16 @@ class HonestNode:
     def record_confirmations(self) -> None:
         state = self.state
         boundary = state.head.height - state.cfg.confirm_depth
-        if boundary <= self.recorded_to:
-            return
-        for height in range(self.recorded_to + 1, boundary + 1):
-            block_hash = state.main_by_height[height]
-            prior = self.ever_confirmed.get(height)
-            if prior is not None and prior != block_hash:
-                self.self_conflicted = True
-            self.ever_confirmed[height] = block_hash
-        self.recorded_to = boundary
+        for height in range(len(self.first_confirmed), boundary + 1):
+            self.first_confirmed.append(state.main_by_height[height])
 
-    def final_confirmed(self) -> dict[int, int]:
-        final = dict(self.ever_confirmed)
-        for offset, block_hash in enumerate(self.state.confirmed_prefix()):
-            prior = final.get(offset)
-            if prior is not None and prior != block_hash:
-                self.self_conflicted = True
-            final[offset] = block_hash
-        return final
+    def final_confirmed(self) -> tuple[list[int], bool]:
+        """The end-of-run confirmed block at each height, and whether any of
+        them differs from the block first confirmed at that height."""
+        prefix = self.state.confirmed_prefix()
+        first = self.first_confirmed
+        conflicted = any(now != then for now, then in zip(prefix, first))
+        return prefix + first[len(prefix) :], conflicted
 
 
 class AdversaryNode(HonestNode):
@@ -661,7 +645,7 @@ class AdversaryNode(HonestNode):
 
     is_adversary = True
 
-    def on_witness_request(self, msg: WitnessReqMsg) -> None:
+    def on_witness_request(self, msg: WitnessReqMsg, sender: int) -> None:
         req = msg.req
         if req.proposer == self.node_id:
             return
@@ -672,13 +656,11 @@ class AdversaryNode(HonestNode):
         if not eligible:
             return  # an ineligible signature would be dropped anyway
         sig = self.sim.scheme.sign(self.secret, witness_message(req.block))
-        proposer_idx = self.sim.index_of.get(req.proposer)
-        if proposer_idx is not None:
-            self.sim.send(
-                self.index,
-                proposer_idx,
-                WitnessSigMsg(req.block_hash, WitnessSignature(self.node_id, sig)),
-            )
+        self.sim.send(
+            self.index,
+            sender,
+            WitnessSigMsg(req.block_hash, WitnessSignature(self.node_id, sig)),
+        )
 
 
 class DoubleSpendAdversary(AdversaryNode):
@@ -801,8 +783,6 @@ class InvalidPushAdversary(AdversaryNode):
         if sim.cfg.tx_model is TxModel.ACCOUNT:
             body = AccountBody(recipient, 1, self.wallet_nonce + 9999)
             return make_transaction(sim.scheme, self.secret, self.node_id, body)
-        from .core_types import Outpoint
-
         ghost = Outpoint(tx_id=self.sim.rng.getrandbits(256), index=0)
         body = UtxoBody((ghost,), (TxOutput(recipient, 1),))
         return make_transaction(sim.scheme, self.secret, self.node_id, body)
@@ -836,7 +816,6 @@ class Simulator:
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
         self._heap: list = []
         self._seq = 0
-        self.report.trace = []
 
         secrets = []
         node_ids = []
@@ -847,7 +826,6 @@ class Simulator:
             secrets.append(secret)
             node_ids.append(node_id)
         self.node_ids = node_ids
-        self.index_of = {nid: i for i, nid in enumerate(node_ids)}
 
         self.genesis_indices = self._build_alloc()
         self.snapshot_store: dict = {}
@@ -944,7 +922,7 @@ class Simulator:
         if isinstance(message, TxGossip):
             node.accept_tx(message.tx)
         elif isinstance(message, WitnessReqMsg):
-            node.on_witness_request(message)
+            node.on_witness_request(message, sender)
         elif isinstance(message, WitnessSigMsg):
             node.on_witness_sig(message)
         elif isinstance(message, BlockGossip):
@@ -952,7 +930,7 @@ class Simulator:
         elif isinstance(message, ForkWinGossip):
             node.on_fork_win(message, sender)
         elif isinstance(message, PullReq):
-            node.on_pull_req(message)
+            node.on_pull_req(message, sender)
         elif isinstance(message, PullReply):
             node.on_pull_reply(message)
         if self.cfg.trace:
@@ -971,30 +949,18 @@ class Simulator:
             report.orphans_expired += node.state.stats.orphans_expired
         if not honest:
             return
-        finals = {node.index: node.final_confirmed() for node in honest}
-        heights: set[int] = set()
-        for record in finals.values():
-            heights.update(record)
-        majority: dict[int, int] = {}
+        finals = [node.final_confirmed() for node in honest]
+        majority: list[int] = []
         divergent = False
-        for height in sorted(heights):
-            votes = Counter(
-                record[height] for record in finals.values() if height in record
-            )
+        for height in range(max(len(record) for record, _ in finals)):
+            votes = Counter(record[height] for record, _ in finals if height < len(record))
             if len(votes) > 1:
                 divergent = True
             top = max(votes.values())
-            majority[height] = min(h for h, v in votes.items() if v == top)
+            majority.append(min(h for h, v in votes.items() if v == top))
         report.hard_forks = 1 if divergent else 0
-        for node in honest:
-            record = finals[node.index]
-            conflicted = node.self_conflicted or any(
-                record.get(h) is not None
-                and majority.get(h) is not None
-                and record[h] != majority[h]
-                for h in record
-            )
-            if conflicted:
+        for node, (record, conflicted) in zip(honest, finals):
+            if conflicted or any(a != b for a, b in zip(record, majority)):
                 report.misled_events += 1
             if confirmed_conflicts(node.state):
                 report.confirmed_conflict_nodes += 1
@@ -1011,17 +977,13 @@ class Simulator:
         block_lookup: dict[int, Block] = {}
         for node in honest:
             block_lookup.update(node.state.blocks)
-        for height, block_hash in majority.items():
-            if height == 0:
-                continue
+        for block_hash in majority[1:]:
             block = block_lookup.get(block_hash)
             if block is not None:
                 confirmed_txs += sum(1 for tx in block.transactions if not tx.is_coinbase())
         report.txs_confirmed = confirmed_txs
         report.max_height = max(node.state.head.height for node in honest)
-        report.min_confirmed_height = min(
-            max(record) if record else 0 for record in finals.values()
-        )
+        report.min_confirmed_height = min(len(record) for record, _ in finals) - 1
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:

@@ -5,8 +5,9 @@ Each pin is the sha256 of ``SimReport.to_json()`` for one stub-scheme config
 and seed, run with the replay oracle on. The configs cover lossy links,
 fork-win retransmission, all three adversaries, both ledger models, block
 rewards in both (the account-model coinbase spends consecutive system
-nonces, the UTXO one a height marker) and a long run with many branch
-switches. A pin that moves means
+nonces, the UTXO one a height marker), a long run with many branch
+switches, and a lossy one-witness, depth-one chain whose honest nodes are
+misled (``misled_events`` > 0). A pin that moves means
 the simulated behaviour changed; that is either a bug to fix or a deliberate
 change (such as a new RNG draw order) to record in CHANGES.md with the pins
 recomputed.
@@ -17,9 +18,15 @@ from dataclasses import replace
 
 import pytest
 
-from scorechain.core_types import TxModel
+from scorechain.core_types import ChainConfig, TxModel
 from scorechain.incentive import RewardSchedule
-from scorechain.simnet import LatencySpec, SimConfig, Strategy, run_simulation
+from scorechain.simnet import (
+    LatencySpec,
+    SIM_WITNESS_THRESHOLD,
+    SimConfig,
+    Strategy,
+    run_simulation,
+)
 
 BASE = SimConfig(replay_check=True)
 ADVERSARIES = dict(n_nodes=12, adversary_fraction=0.25)
@@ -44,6 +51,16 @@ CONFIGS = {
     ),
     "long": replace(BASE, duration=1200),
     "account_rewards": replace(BASE, rewards=RewardSchedule(50, 5)),
+    # seeds 1 and 2 mislead 4 and 18 honest nodes, each by a confirmed
+    # block that a later branch switch replaced
+    "misled": replace(
+        BASE,
+        delivery_ratio=0.5,
+        latency=LatencySpec.uniform(1, 12),
+        chain=ChainConfig(
+            witness_m=1, confirm_depth=1, witness_threshold=SIM_WITNESS_THRESHOLD
+        ),
+    ),
 }
 
 PINS = {
@@ -65,6 +82,8 @@ PINS = {
     ("long", 2): "c2195d02739566050e48071697accfe598eaef9cb5846b567d71343673948d86",
     ("account_rewards", 1): "ea7a59cd5eaf6ea525d5bc98ac4587d4fe81413f2ab0e39ff1aad01af039ce30",
     ("account_rewards", 2): "0d2c23fcf374442946c847facebf686595f8c93538cb1b4f40d590d354b8633b",
+    ("misled", 1): "3e87865eaf62aaf37ba7bcc4282f28ac626d9e3a821139cecde9cc20b069a28d",
+    ("misled", 2): "624e4b5628c95371606cb4ecce5f9eafaebd27e7753a8066ba1af0f132613b6d",
 }
 
 

@@ -1,8 +1,11 @@
-"""Source hygiene: every import in the package modules is used.
+"""Source hygiene: every import in the package modules is used, and every
+private function, method or class is named somewhere besides its definition.
 
-Stdlib only. ``__init__.py`` is skipped, since its imports are re-exports.
-A name counts as used when it is loaded anywhere in the module, including
-inside a string annotation such as ``"TxIndices | None"``.
+Stdlib only. ``__init__.py`` is skipped by the import check, since its
+imports are re-exports. A name counts as used when it is loaded anywhere in
+the module, including inside a string annotation such as
+``"TxIndices | None"``. A private definition (one ``_`` prefix, not a dunder)
+counts as used when any package module loads it as a name or an attribute.
 """
 
 import ast
@@ -47,6 +50,23 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each _-prefixed, non-dunder function, method or class, with its line."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return used_names(tree) | attributes
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -67,3 +87,34 @@ def test_checker_sees_string_annotations_and_unused_names():
         "    pass\n"
     )
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["Sequence", "json"]
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unreferenced = sorted(
+        f"{name}:{line} {defined}"
+        for name, tree in trees.items()
+        for defined, line in private_definitions(tree).items()
+        if defined not in referenced
+    )
+    assert not unreferenced, "private definitions named nowhere: " + ", ".join(unreferenced)
+
+
+def test_checker_sees_private_definitions_and_their_references():
+    tree = ast.parse(
+        "class _Kept:\n"
+        "    def __init__(self) -> None:\n"
+        "        self._used()\n"
+        "    def _used(self) -> None:\n"
+        "        pass\n"
+        "    def _dead(self) -> '_Kept':\n"
+        "        pass\n"
+        "def _orphan() -> None:\n"
+        "    pass\n"
+    )
+    assert sorted(private_definitions(tree)) == ["_Kept", "_dead", "_orphan", "_used"]
+    assert sorted(set(private_definitions(tree)) - referenced_names(tree)) == [
+        "_dead",
+        "_orphan",
+    ]

@@ -442,7 +442,6 @@ def test_orphan_buffered_then_drained():
 
     filled = state.apply_block(b1)
     assert filled.status is ApplyStatus.ACCEPTED
-    assert filled.reapplied_orphans == 1
     assert state.height == 2
     assert state.head is b2
 
@@ -476,6 +475,47 @@ def test_orphan_pool_capacity_evicts_oldest():
     assert state.apply_block(second).status is ApplyStatus.ORPHANED
     assert state.stats.orphans_expired == 1
     assert state.apply_block(first).reason is BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
+
+
+def test_orphan_pool_capacity_skips_drained_orphans():
+    parties = keys(8)
+    state = fresh_state(parties, max_orphans=2)
+    parent = minted(state.genesis.block_hash, 1, payments(parties[:4], 4), parties)
+    o1 = minted(parent.block_hash, 2, payments(parties[4:], 4), parties)
+    assert state.apply_block(o1).status is ApplyStatus.ORPHANED
+    assert state.apply_block(parent).status is ApplyStatus.ACCEPTED
+    assert state.head is o1  # drained, so no longer in the pool
+
+    o2, o3, o4 = (
+        minted(fake_parent, 1, payments(parties[:4], 4), parties)
+        for fake_parent in (11111, 22222, 33333)
+    )
+    for orphan in (o2, o3, o4):
+        assert state.apply_block(orphan).status is ApplyStatus.ORPHANED
+    # the pool held o2 and o3; o4 evicted o2, the oldest still buffered
+    assert state.stats.orphans_expired == 1
+    assert state.apply_block(o2).reason is BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
+    assert state.apply_block(o3).reason is BlockReject.DUPLICATE
+
+
+def test_orphan_subtree_drains_when_its_root_arrives():
+    parties = keys(12)
+    state = fresh_state(parties)
+    parent = minted(state.genesis.block_hash, 1, payments(parties[:4], 4), parties)
+    left = minted(parent.block_hash, 2, payments(parties[4:8], 4), parties)
+    right = minted(parent.block_hash, 2, payments(parties[8:], 4), parties, proposer_idx=1)
+    grandchild = minted(left.block_hash, 3, payments(parties[:4], 4, nonce=1), parties)
+
+    for orphan in (grandchild, right, left):
+        assert state.apply_block(orphan).status is ApplyStatus.ORPHANED
+    assert state.apply_block(parent).stored
+    for block in (parent, left, right, grandchild):
+        assert state.has_block(block.block_hash)
+
+    in_order = fresh_state(parties)
+    for block in (parent, left, right, grandchild):
+        assert in_order.apply_block(block).stored
+    assert state.head is in_order.head
 
 
 # -- fork choice ---------------------------------------------------------------------

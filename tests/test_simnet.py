@@ -31,6 +31,15 @@ SMALL = SimConfig(n_nodes=10, duration=80, tx_rate=1.0, seed=5)
 def test_validation_names_the_offending_key():
     cases = [
         (SimConfig(n_nodes=1), "n_nodes"),
+        # a proposer cannot witness itself, so m witnesses need n > m nodes
+        (SimConfig(n_nodes=2), "n_nodes"),
+        (
+            SimConfig(
+                n_nodes=4,
+                chain=ChainConfig(witness_m=4, witness_threshold=SIM_WITNESS_THRESHOLD),
+            ),
+            "n_nodes",
+        ),
         (SimConfig(adversary_fraction=1.5), "adversary_fraction"),
         (SimConfig(delivery_ratio=0.0), "delivery_ratio"),
         (SimConfig(duration=0), "duration"),
