@@ -22,20 +22,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class SafetyParams:
-    """The five knobs of the safety analysis.
+    """The four knobs of the safety analysis.
 
     m: witness signatures per block (>= 1)
     n_c: confirmation depth in blocks (>= 1)
     l: extra fork-win retransmissions (>= 0)
     r: per-recipient delivery probability, 0 < r <= 1
-    q: adversarial fraction of nodes, 0 <= q <= 1
     """
 
     m: int
     n_c: int
     l: int = 0
     r: float = 0.9
-    q: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -46,8 +44,6 @@ class SafetyParams:
             raise ValueError("l must be >= 0")
         if not 0.0 < self.r <= 1.0:
             raise ValueError("r must be in (0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
 
 
 def misled_exponent(m: int, n_c: int, l: int = 0) -> int:

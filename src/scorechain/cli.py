@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import (
     HEADLINE_PARAMS,
@@ -54,10 +55,7 @@ def _load_config(path: "str | None", seed: "int | None") -> SimConfig:
             raise SimConfigError("config", f"invalid JSON in {path}: {exc}") from None
         cfg = SimConfig.from_dict(data)
     if seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=seed)
-    cfg.validate()
     return cfg
 
 

@@ -29,8 +29,8 @@ from .core_types import (
 
 @dataclass(frozen=True, slots=True)
 class RewardSchedule:
-    proposer_reward: int
-    witness_subsidy: int
+    proposer_reward: int = 0
+    witness_subsidy: int = 0
 
     def __post_init__(self) -> None:
         if self.proposer_reward < 0 or self.witness_subsidy < 0:

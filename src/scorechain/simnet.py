@@ -16,6 +16,7 @@ refusal, and signing path) and the abstract miss-model for the misled bound.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import random
@@ -81,47 +82,17 @@ class SimConfigError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class LatencySpec:
-    """Delivery delay in ticks: fixed value or uniform integer range."""
+    """Delivery delay in ticks, drawn uniformly from lo..hi inclusive."""
 
-    kind: str = "fixed"
     lo: int = 1
     hi: int = 1
 
     def validate(self) -> None:
-        if self.kind not in ("fixed", "uniform"):
-            raise SimConfigError("latency.kind", "must be 'fixed' or 'uniform'")
         if self.lo < 0 or self.hi < self.lo:
             raise SimConfigError("latency", "need 0 <= lo <= hi")
 
     def sample(self, rng: random.Random) -> int:
-        if self.kind == "fixed":
-            return self.lo
         return rng.randint(self.lo, self.hi)
-
-    @classmethod
-    def fixed(cls, ticks: int) -> "LatencySpec":
-        return cls("fixed", ticks, ticks)
-
-    @classmethod
-    def uniform(cls, lo: int, hi: int) -> "LatencySpec":
-        return cls("uniform", lo, hi)
-
-    def to_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "ticks": self.lo}
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, data: object) -> "LatencySpec":
-        kind = _json_object("latency", data, ("kind", "ticks", "lo", "hi")).get(
-            "kind", "fixed"
-        )
-        if kind not in ("fixed", "uniform"):
-            raise SimConfigError("latency.kind", "must be 'fixed' or 'uniform'")
-        names = ("ticks",) if kind == "fixed" else ("lo", "hi")
-        _json_object("latency", data, ("kind", *names))
-        ticks = [_json_scalar(f"latency.{n}", data.get(n, 1), int) for n in names]
-        return cls.fixed(*ticks) if kind == "fixed" else cls.uniform(*ticks)
 
 
 class Strategy(Enum):
@@ -143,12 +114,20 @@ def default_sim_chain() -> ChainConfig:
     return ChainConfig(witness_threshold=SIM_WITNESS_THRESHOLD)
 
 
+SLOT_SPACING = 3  # ticks between consecutive proposal slots
+PROPOSAL_TIMEOUT = 16  # ticks a proposer waits for its witnesses
+MEMPOOL_CAP = 4096  # transactions a node holds; later arrivals are dropped
+GENESIS_UNITS = 10**9  # account model: each node's opening balance
+GENESIS_OUTPUTS = 96  # UTXO model: each node's opening outputs,
+UTXO_UNIT = 1000  # each worth this much
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     n_nodes: int = 20
     adversary_fraction: float = 0.0
     delivery_ratio: float = 0.9
-    latency: LatencySpec = LatencySpec.uniform(1, 3)
+    latency: LatencySpec = LatencySpec(1, 3)
     chain: ChainConfig = field(default_factory=default_sim_chain)
     tx_rate: float = 1.5
     duration: int = 200
@@ -158,14 +137,6 @@ class SimConfig:
     scheme: str = "stub"
     rewards: "RewardSchedule | None" = None
     fork_win_extra: int = 0  # the l of the safety analysis
-    slot_spacing: int = 3  # ticks between consecutive proposal slots
-    proposal_timeout: int = 16
-    orphan_timeout: int = 512
-    mempool_cap: int = 4096
-    max_block_txs: int = 12
-    genesis_units: int = 10**9
-    genesis_outputs: int = 96
-    utxo_unit: int = 1000
     replay_check: bool = False
     trace: bool = False
 
@@ -183,19 +154,8 @@ class SimConfig:
             raise SimConfigError("tx_rate", "must be non-negative")
         if self.fork_win_extra < 0:
             raise SimConfigError("fork_win_extra", "must be non-negative")
-        if self.slot_spacing < 1:
-            raise SimConfigError("slot_spacing", "must be positive")
-        if self.proposal_timeout < 1:
-            raise SimConfigError("proposal_timeout", "must be positive")
         if self.scheme not in ("stub", "ed25519"):
             raise SimConfigError("scheme", "must be 'stub' or 'ed25519'")
-        # below these no block can ever be proposed
-        for key in ("max_block_txs", "mempool_cap"):
-            if getattr(self, key) < self.chain.tx_count_min:
-                raise SimConfigError(key, "must be at least chain.tx_count_min")
-        for key in ("genesis_units", "genesis_outputs", "utxo_unit"):
-            if getattr(self, key) < 1:
-                raise SimConfigError(key, "must be positive")
         self.latency.validate()
 
     def to_dict(self) -> dict:
@@ -203,7 +163,7 @@ class SimConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             codec = _JSON_CODECS.get(f.name)
-            data[f.name] = value if codec is None else codec[0](value)
+            data[f.name] = value if codec is None or value is None else codec[0](value)
         return data
 
     @classmethod
@@ -219,7 +179,9 @@ class SimConfig:
             if key not in known:
                 raise SimConfigError(key, "unknown config key")
             codec = _JSON_CODECS.get(key)
-            if codec is not None:
+            if value is None and known[key].default is None:
+                kwargs[key] = None
+            elif codec is not None:
                 kwargs[key] = codec[1](value)
             else:
                 kwargs[key] = _json_scalar(key, value, type(known[key].default))
@@ -231,21 +193,34 @@ class SimConfig:
 # -- JSON codecs ---------------------------------------------------------------------
 
 
-def _json_object(key: str, data: object, names: "tuple[str, ...]") -> dict:
-    """The nested JSON object at key; every one of its keys must be in names."""
-    if not isinstance(data, dict):
-        raise SimConfigError(key, "must be a JSON object")
-    for name in data:
-        if name not in names:
-            raise SimConfigError(f"{key}.{name}", "unknown config key")
-    return data
-
-
 def _json_scalar(key: str, value: object, kind: type):
     # JSON has one number type, so a float field also takes an integer
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise SimConfigError(key, f"must be {kind.__name__}, not {type(value).__name__}")
+
+
+def _decode_fields(key: str, cls: type, data: object):
+    """An instance of dataclass cls from the JSON object at key.
+
+    Each name must be a field of cls and each value of its default's type;
+    missing fields keep their defaults.
+    """
+    if not isinstance(data, dict):
+        raise SimConfigError(key, "must be a JSON object")
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    for name, value in data.items():
+        if name not in kinds:
+            raise SimConfigError(f"{key}.{name}", "unknown config key")
+        _json_scalar(f"{key}.{name}", value, kinds[name])
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise SimConfigError(key, str(exc)) from None
+
+
+def _fields_codec(key: str, cls: type) -> tuple:
+    return (asdict, lambda data: _decode_fields(key, cls, data))
 
 
 def _enum_codec(key: str, cls: type[Enum]) -> tuple:
@@ -264,49 +239,27 @@ def _chain_to_json(chain: ChainConfig) -> dict:
 
 
 def _chain_from_json(data: object) -> ChainConfig:
-    names = tuple(f.name for f in fields(ChainConfig))
-    raw = dict(_json_object("chain", data, names))
-    threshold = raw.get("witness_threshold", SIM_WITNESS_THRESHOLD)
-    if isinstance(threshold, str):
-        try:
-            threshold = int(threshold, 16)
-        except ValueError:
-            raise SimConfigError("chain.witness_threshold", "must be hex") from None
-    raw["witness_threshold"] = threshold
-    for name, value in raw.items():
-        _json_scalar(f"chain.{name}", value, int)
-    try:
-        return ChainConfig(**raw)
-    except ValueError as exc:
-        raise SimConfigError("chain", str(exc)) from None
-
-
-def _rewards_to_json(rewards: "RewardSchedule | None") -> "dict | None":
-    return None if rewards is None else asdict(rewards)
-
-
-def _rewards_from_json(data: object) -> "RewardSchedule | None":
-    if data is None:
-        return None
-    names = tuple(f.name for f in fields(RewardSchedule))
-    raw = _json_object("rewards", data, names)
-    amounts = {
-        name: _json_scalar(f"rewards.{name}", raw.get(name, 0), int) for name in names
-    }
-    try:
-        return RewardSchedule(**amounts)
-    except ValueError as exc:
-        raise SimConfigError("rewards", str(exc)) from None
+    # the threshold is written in hex, and defaults to the simulator's own
+    if isinstance(data, dict):
+        threshold = data.get("witness_threshold", SIM_WITNESS_THRESHOLD)
+        if isinstance(threshold, str):
+            try:
+                threshold = int(threshold, 16)
+            except ValueError:
+                raise SimConfigError("chain.witness_threshold", "must be hex") from None
+        data = {**data, "witness_threshold": threshold}
+    return _decode_fields("chain", ChainConfig, data)
 
 
 # (encode, decode) for the SimConfig fields that are not JSON scalars; every
-# other field is written as is and type-checked against its default on reading
+# other field is written as is and type-checked against its default on reading.
+# A field whose default is None reads and writes None as null.
 _JSON_CODECS = {
-    "latency": (LatencySpec.to_dict, LatencySpec.from_dict),
+    "latency": _fields_codec("latency", LatencySpec),
     "chain": (_chain_to_json, _chain_from_json),
     "adversary_strategy": _enum_codec("adversary_strategy", Strategy),
     "tx_model": _enum_codec("tx_model", TxModel),
-    "rewards": (_rewards_to_json, _rewards_from_json),
+    "rewards": _fields_codec("rewards", RewardSchedule),
 }
 
 
@@ -399,11 +352,7 @@ class SimReport:
     trace: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = dict(self.__dict__)
-        payload["trace"] = [
-            {"at": ev.at, "kind": ev.kind, "detail": ev.detail} for ev in self.trace
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 COUNTER_FIELDS = (
@@ -448,7 +397,6 @@ class HonestNode:
             sim.scheme,
             sim.genesis_indices,
             coinbase_rule=sim.coinbase_rule,
-            orphan_timeout=cfg.orphan_timeout,
             replay_check=cfg.replay_check,
             snapshot_store=sim.snapshot_store,
             verdict_cache=sim.verdict_cache,
@@ -489,7 +437,7 @@ class HonestNode:
         self.sim.broadcast(self.index, TxGossip(tx))
 
     def accept_tx(self, tx: Transaction) -> None:
-        if tx.tx_id not in self.mempool and len(self.mempool) < self.sim.cfg.mempool_cap:
+        if tx.tx_id not in self.mempool and len(self.mempool) < MEMPOOL_CAP:
             self.mempool[tx.tx_id] = tx
 
     # -- proposing -----------------------------------------------------------
@@ -497,16 +445,10 @@ class HonestNode:
     def on_propose_slot(self) -> None:
         if self.pending is not None:
             return
-        cfg = self.sim.cfg
         # selection doubles as mempool garbage collection
         dead: list[int] = []
         req = propose_block(
-            self.node_id,
-            self.state,
-            self.mempool.values(),
-            cfg.chain,
-            max_txs=cfg.max_block_txs,
-            dead=dead,
+            self.node_id, self.state, self.mempool.values(), self.sim.cfg.chain, dead=dead
         )
         for tx_id in dead:
             del self.mempool[tx_id]
@@ -852,8 +794,8 @@ class Simulator:
     def _build_alloc(self) -> TxIndices:
         cfg = self.cfg
         if cfg.tx_model is TxModel.ACCOUNT:
-            return fund_accounts({nid: cfg.genesis_units for nid in self.node_ids})
-        alloc = {nid: [cfg.utxo_unit] * cfg.genesis_outputs for nid in self.node_ids}
+            return fund_accounts({nid: GENESIS_UNITS for nid in self.node_ids})
+        alloc = {nid: [UTXO_UNIT] * GENESIS_OUTPUTS for nid in self.node_ids}
         return fund_utxos(alloc)
 
     def _grants_by_owner(self) -> dict[NodeId, list]:
@@ -881,7 +823,7 @@ class Simulator:
                 self.send(sender, target, message)
 
     def schedule_timeout(self, index: int, block_hash: int) -> None:
-        self._push(self._now + self.cfg.proposal_timeout, EV_TIMEOUT, (index, block_hash))
+        self._push(self._now + PROPOSAL_TIMEOUT, EV_TIMEOUT, (index, block_hash))
 
     # -- run --------------------------------------------------------------------
 
@@ -891,8 +833,8 @@ class Simulator:
         whole = int(cfg.tx_rate)
         frac = cfg.tx_rate - whole
         for tick in range(cfg.duration):
-            if tick % cfg.slot_spacing == 0:
-                proposer = (tick // cfg.slot_spacing) % cfg.n_nodes
+            if tick % SLOT_SPACING == 0:
+                proposer = (tick // SLOT_SPACING) % cfg.n_nodes
                 self._push(tick, EV_PROPOSE, proposer)
             count = whole + (1 if self.rng.random() < frac else 0)
             for _ in range(count):
@@ -1012,10 +954,7 @@ class TrialsResult:
     rows: list
 
     def to_json(self) -> str:
-        payload = dict(self.__dict__)
-        payload["hard_fork_ci"] = list(self.hard_fork_ci)
-        payload["misled_ci"] = list(self.misled_ci)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def summary_line(self) -> str:
         return (
@@ -1075,8 +1014,6 @@ def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
 
 
 def write_trials_csv(result: TrialsResult, path: str) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", *COUNTER_FIELDS])

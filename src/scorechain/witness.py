@@ -116,6 +116,9 @@ class Refusal:
 # height -> digest this node signed there; one entry per height, ever
 WitnessLog = MutableMapping[int, int]
 
+# the most user transactions a proposal packs, unless the chain requires more
+MAX_BLOCK_TXS = 12
+
 
 def propose_block(
     proposer: NodeId,
@@ -139,7 +142,7 @@ def propose_block(
     from .ledger import DEAD_TX  # ledger imports this module
 
     indices = state.head_indices().clone()
-    cap = max_txs if max_txs is not None else max(cfg.tx_count_min, 16)
+    cap = max_txs if max_txs is not None else max(cfg.tx_count_min, MAX_BLOCK_TXS)
     selected: list[Transaction] = []
     for tx in mempool:
         if tx.is_coinbase():

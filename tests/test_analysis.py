@@ -48,8 +48,6 @@ def test_params_validation():
         SafetyParams(m=1, n_c=1, r=0.0)
     with pytest.raises(ValueError):
         SafetyParams(m=1, n_c=1, r=1.1)
-    with pytest.raises(ValueError):
-        SafetyParams(m=1, n_c=1, q=-0.5)
 
 
 # -- corruption bound ------------------------------------------------------------

@@ -45,19 +45,8 @@ def test_validation_names_the_offending_key():
         (SimConfig(duration=0), "duration"),
         (SimConfig(tx_rate=-0.5), "tx_rate"),
         (SimConfig(fork_win_extra=-1), "fork_win_extra"),
-        (SimConfig(slot_spacing=0), "slot_spacing"),
-        (SimConfig(proposal_timeout=0), "proposal_timeout"),
         (SimConfig(scheme="rsa"), "scheme"),
-        (SimConfig(latency=LatencySpec("uniform", 5, 2)), "latency"),
-        # settings under which no block can ever be proposed
-        (SimConfig(max_block_txs=0), "max_block_txs"),
-        (SimConfig(max_block_txs=3), "max_block_txs"),  # below tx_count_min=4
-        (SimConfig(mempool_cap=0), "mempool_cap"),
-        (SimConfig(mempool_cap=3), "mempool_cap"),
-        (SimConfig(genesis_units=0), "genesis_units"),
-        (SimConfig(genesis_outputs=0), "genesis_outputs"),
-        (SimConfig(tx_model=TxModel.UTXO, utxo_unit=0), "utxo_unit"),
-        (SimConfig(utxo_unit=-1), "utxo_unit"),
+        (SimConfig(latency=LatencySpec(5, 2)), "latency"),
     ]
     for cfg, key in cases:
         with pytest.raises(SimConfigError) as err:
@@ -71,7 +60,7 @@ def test_config_dict_round_trip():
         n_nodes=9,
         adversary_fraction=0.25,
         delivery_ratio=0.8,
-        latency=LatencySpec.uniform(2, 5),
+        latency=LatencySpec(2, 5),
         chain=ChainConfig(tx_count_min=3, witness_m=3, confirm_depth=4),
         tx_rate=2.5,
         duration=50,
@@ -84,6 +73,11 @@ def test_config_dict_round_trip():
     data = json.loads(json.dumps(cfg.to_dict()))  # survive a real JSON trip
     assert SimConfig.from_dict(data) == cfg
     assert data["chain"]["witness_threshold"] == f"{cfg.chain.witness_threshold:x}"
+    assert data["latency"] == {"lo": 2, "hi": 5}
+    # a missing reward means 0, and null means no rewards
+    partial = SimConfig.from_dict({"rewards": {"witness_subsidy": 5}})
+    assert partial.rewards == RewardSchedule(0, 5)
+    assert SimConfig.from_dict({"rewards": None}).rewards is None
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -105,10 +99,14 @@ def test_from_dict_parse_errors_name_their_section():
         ({"adversary_strategy": "griefing"}, "adversary_strategy"),
         ({"tx_model": "banknotes"}, "tx_model"),
         ({"rewards": {"proposer_reward": -1}}, "rewards"),
-        ({"latency": {"kind": "gaussian", "lo": 1, "hi": 3}}, "latency.kind"),
-        ({"latency": {"kind": "fixed", "tick": 4}}, "latency.tick"),
-        ({"latency": {"kind": "uniform", "lo": "1", "hi": 3}}, "latency.lo"),
+        ({"latency": {"kind": "uniform", "lo": 1, "hi": 3}}, "latency.kind"),
+        ({"latency": {"tick": 4}}, "latency.tick"),
+        ({"latency": {"lo": "1", "hi": 3}}, "latency.lo"),
         ({"latency": 5}, "latency"),
+        ({"latency": None}, "latency"),
+        # simulator constants, not settings
+        ({"mempool_cap": 4096}, "mempool_cap"),
+        ({"slot_spacing": 3}, "slot_spacing"),
         ({"rewards": {"proposer_rewrd": 50}}, "rewards.proposer_rewrd"),
         ({"rewards": {"witness_subsidy": 1.5}}, "rewards.witness_subsidy"),
         ({"chain": {"witness_mm": 3}}, "chain.witness_mm"),
@@ -129,24 +127,21 @@ def test_from_dict_parse_errors_name_their_section():
 
 def test_cli_rejects_malformed_config_with_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"latency": 5}))
-    assert cli_main(["simulate", "--config", str(path)]) == 2
-    assert "latency" in capsys.readouterr().err
+    for data, key in [({"latency": 5}, "latency"), ({"max_block_txs": 12}, "max_block_txs")]:
+        path.write_text(json.dumps(data))
+        assert cli_main(["simulate", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_latency_spec_sampling():
     import random
 
     rng = random.Random(0)
-    fixed = LatencySpec.fixed(4)
+    fixed = LatencySpec(4, 4)
     assert {fixed.sample(rng) for _ in range(20)} == {4}
-    ranged = LatencySpec.uniform(2, 5)
+    ranged = LatencySpec(2, 5)
     draws = {ranged.sample(rng) for _ in range(200)}
     assert draws == {2, 3, 4, 5}
-    assert LatencySpec.from_dict(fixed.to_dict()) == fixed
-    assert LatencySpec.from_dict(ranged.to_dict()) == ranged
-    with pytest.raises(SimConfigError):
-        LatencySpec("random", 1, 1).validate()
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ from scorechain.core_types import TxModel
 from scorechain.ledger import ChainState, fund_accounts
 from scorechain.scoring import block_score
 from scorechain.witness import (
+    MAX_BLOCK_TXS,
     Refusal,
     RefusalReason,
     WitnessRequest,
@@ -145,6 +146,12 @@ def test_propose_respects_max_txs():
     req = propose_block(parties[0][1], state, payments(parties, 12), CFG, max_txs=5)
     assert req is not None
     assert len(req.block.transactions) == 5
+    # without max_txs the cap is MAX_BLOCK_TXS, or the chain's minimum if larger
+    req = propose_block(parties[0][1], state, payments(parties, 20), CFG)
+    assert len(req.block.transactions) == MAX_BLOCK_TXS == 12
+    wide = ChainConfig(tx_count_min=14)
+    req = propose_block(parties[0][1], state, payments(parties, 20), wide)
+    assert len(req.block.transactions) == 14
 
 
 def test_propose_skips_coinbase_entries():
