@@ -515,7 +515,13 @@ def genesis_block(cfg: ChainConfig) -> Block:
 
 
 class SignatureScheme(ABC):
-    """Pluggable signature primitive; implementations are stateless."""
+    """Pluggable signature primitive; implementations are stateless.
+
+    The one stateful scheme is the simulator's memo wrapper
+    (simnet._VerifiedMemo): a simulated network is one trust domain whose
+    nodes all check the same signed bytes, so it remembers which triples
+    verified. get_scheme returns the plain, stateless instances.
+    """
 
     name: str
 

@@ -82,9 +82,20 @@ class TxReject(Enum):
 # Head-state verdicts after which a mempool transaction can never become
 # valid again (absent a deep reorg): its nonce is used, or an input is spent
 # or never existed (the live state cannot tell the two apart), or it repeats
-# an input.
+# an input. The rest never depend on the state at all: a signature over
+# fixed bytes, an empty side, and an existing outpoint's owner and amount
+# (an outpoint is named by the tx_id that created it) cannot change.
 DEAD_TX = frozenset(
-    {TxReject.NONCE_REUSE, TxReject.DOUBLE_SPEND, TxReject.UNKNOWN_INPUT}
+    {
+        TxReject.NONCE_REUSE,
+        TxReject.DOUBLE_SPEND,
+        TxReject.UNKNOWN_INPUT,
+        TxReject.BAD_SIGNATURE,
+        TxReject.WRONG_OWNER,
+        TxReject.EMPTY_INPUTS,
+        TxReject.EMPTY_OUTPUTS,
+        TxReject.OUTPUT_EXCEEDS_INPUT,
+    }
 )
 
 
@@ -398,6 +409,10 @@ class ChainState:
     one simulated network (same genesis allocation and parameters): verdicts
     and post-block snapshots depend only on a block's ancestry, never on the
     observing node, and a node only consults entries for blocks it holds.
+    witness.propose_block stores its candidate's post-state there too, under
+    the candidate's block_hash, so a witness's candidate_block_valid (and a
+    minted block without coinbase, which keeps that hash) skips the
+    transactions the proposer already ran.
     """
 
     def __init__(
@@ -569,8 +584,8 @@ class ChainState:
         """Run the block's transactions on its parent's state; store the result.
 
         The snapshot is keyed by block hash, which covers parent and
-        transactions, so one computed while validating a candidate serves the
-        minted block verbatim.
+        transactions, so one computed while proposing or validating a
+        candidate serves the minted block verbatim.
         """
         if block.block_hash in self.snapshots:
             return None

@@ -749,12 +749,45 @@ _STRATEGY_CLASS = {
 # ---------------------------------------------------------------------------
 
 
+class _VerifiedMemo(SignatureScheme):
+    """A simulator's scheme: the plain one, remembering what verified.
+
+    Every node of one simulated network checks the same signed bytes, so a
+    (public key, message, signature) triple that verified once is answered
+    from a set afterwards. A failed check is never stored: a bad signature
+    reaches the plain scheme on every call, and only valid signatures grow
+    the set. keypair and sign delegate unchanged.
+    """
+
+    def __init__(self, plain: SignatureScheme) -> None:
+        self.plain = plain
+        self.name = plain.name
+        self.verified: set[tuple[bytes, bytes, bytes]] = set()
+
+    def keypair(self, seed: bytes) -> tuple[bytes, NodeId]:
+        return self.plain.keypair(seed)
+
+    def sign(self, secret: bytes, message: bytes) -> bytes:
+        return self.plain.sign(secret, message)
+
+    def verify(self, public: NodeId, message: bytes, signature: bytes) -> bool:
+        triple = (public.public_key, message, signature)
+        if triple in self.verified:
+            return True
+        if not self.plain.verify(public, message, signature):
+            return False
+        self.verified.add(triple)
+        return True
+
+
 class Simulator:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.scheme: SignatureScheme = get_scheme(cfg.scheme)
+        # verified signatures, like the two stores below, are shared by every
+        # node and die with the simulator
+        self.scheme = _VerifiedMemo(get_scheme(cfg.scheme))
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
         self._heap: list = []
         self._seq = 0

@@ -134,10 +134,17 @@ def propose_block(
     conflicting pair contributes exactly one member. Returns None when fewer
     than the required minimum survive, a normal and retryable outcome.
 
+    The head clone the selected transactions ran on is the candidate's
+    post-state. It is stored in state.snapshots under the candidate's
+    block_hash, which commits to parent and transactions, so witnesses (and
+    the minted block, when minting appends no coinbase) reuse it instead of
+    running the transactions again.
+
     When dead is given, the same pass appends the ids of the transactions it
     saw that can never validate again (system transactions and ledger.DEAD_TX
-    verdicts), so the caller can drop them from its mempool. Not-yet-valid
-    ones (future nonce, missing funds) are kept.
+    verdicts: a used nonce or input, a bad signature, or inputs whose fixed
+    owner or amounts refuse the spend), so the caller can drop them from its
+    mempool. Not-yet-valid ones (future nonce, missing funds) are kept.
     """
     from .ledger import DEAD_TX  # ledger imports this module
 
@@ -166,6 +173,7 @@ def propose_block(
         proposer=proposer,
         transactions=tuple(selected),
     )
+    state.snapshots.setdefault(block.block_hash, indices)
     return WitnessRequest(block)
 
 

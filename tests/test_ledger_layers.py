@@ -16,6 +16,7 @@ from scorechain.core_types import (
     ChainConfig,
     Outpoint,
     SYSTEM_ID,
+    Transaction,
     TxModel,
     TxOutput,
     UtxoBody,
@@ -24,8 +25,15 @@ from scorechain.core_types import (
     make_transaction,
 )
 from scorechain.incentive import RewardSchedule, make_coinbase_rule
-from scorechain.ledger import ChainState, fund_accounts, fund_utxos
-from scorechain.witness import WitnessRequest, WitnessSignature, mint_block, witness_message
+from scorechain.ledger import ChainState, TxIndices, fund_accounts, fund_utxos
+from scorechain.witness import (
+    WitnessRequest,
+    WitnessSignature,
+    mint_block,
+    propose_block,
+    sign_witness,
+    witness_message,
+)
 
 STUB = get_scheme("stub")
 CFG = ChainConfig()  # tx_count_min=4, witness_m=2, every key eligible
@@ -249,3 +257,51 @@ def test_clone_collapses_exactly_past_the_rule():
         assert (indices._balances_base is not base) is collapses
         assert twin._balances_base is indices._balances_base
         assert Plain.of(indices) == Plain.of(twin) == content
+
+
+def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
+    model = TxModel.ACCOUNT
+    genesis = Plain.of(FUNDING[model, False])
+
+    def pay(sender, recipient, amount, nonce):
+        secret, node_id = PARTIES[sender]
+        body = AccountBody(PARTIES[recipient][1], amount, nonce)
+        return make_transaction(STUB, secret, node_id, body)
+
+    def ledger():
+        return ChainState(CFG, STUB, FUNDING[model, False], coinbase_rule=RULES[model])
+
+    state = ledger()
+    first = minted(state.genesis, [pay(i, i + 1, 10, 0) for i in range(1, 5)], 0, model, 0)
+    assert state.apply_block(first).stored
+    # a conflicting pair (nonce 1 twice), a forged payment and fillers
+    spend, clash = pay(1, 2, 5, 1), pay(1, 3, 6, 1)
+    forged = Transaction(spend.sender, pay(1, 4, 7, 1).body, bytes(32))
+    mempool = [spend, clash, forged, pay(5, 6, 1, 0), pay(6, 7, 1, 0), pay(2, 0, 3, 1)]
+    req = propose_block(PARTIES[0][1], state, mempool, CFG)
+    assert req.block.transactions == (spend,) + tuple(mempool[3:])
+
+    expected = replay_ancestry(state, first.block_hash, genesis)
+    for tx in req.block.transactions:
+        expected.apply(tx)
+    assert Plain.of(state.snapshots[req.block_hash]) == expected
+    # a ledger that never saw the proposal
+    fresh = ledger()
+    assert fresh.apply_block(first).stored
+    assert req.block_hash not in fresh.snapshots
+
+    validated = []
+    validate_tx = TxIndices.validate_tx
+    monkeypatch.setattr(
+        TxIndices,
+        "validate_tx",
+        lambda self, tx, scheme: validated.append(tx) or validate_tx(self, tx, scheme),
+    )
+    secret, witness = PARTIES[7]
+    assert isinstance(sign_witness(secret, witness, req, state, CFG, {}), WitnessSignature)
+    assert validated == []
+
+    # the ledger that never saw the proposal runs the transactions itself
+    assert isinstance(sign_witness(secret, witness, req, fresh, CFG, {}), WitnessSignature)
+    assert validated == list(req.block.transactions)
+    assert Plain.of(fresh.snapshots[req.block_hash]) == expected

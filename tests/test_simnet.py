@@ -7,13 +7,21 @@ import pytest
 
 from scorechain.analysis import SafetyParams
 from scorechain.cli import main as cli_main
-from scorechain.core_types import ChainConfig, TxModel
+from scorechain.core_types import (
+    ChainConfig,
+    Ed25519Scheme,
+    HashStubScheme,
+    Transaction,
+    TxModel,
+    get_scheme,
+)
 from scorechain.incentive import RewardSchedule
 from scorechain.simnet import (
     LatencySpec,
     SIM_WITNESS_THRESHOLD,
     SimConfig,
     SimConfigError,
+    Simulator,
     Strategy,
     run_miss_model,
     run_simulation,
@@ -218,6 +226,92 @@ def test_ed25519_scheme_end_to_end():
     )
     assert report.blocks_minted > 0
     assert report.confirmed_conflict_nodes == 0
+
+
+# -- the simulator's verified-signature memo ------------------------------------------
+
+
+def count_verifies(monkeypatch, cls):
+    """Route cls.verify through a recorder; returns its (triple, result) list."""
+    calls = []
+    plain = cls.verify
+
+    def recorded(self, public, message, signature):
+        ok = plain(self, public, message, signature)
+        calls.append(((public.public_key, message, signature), ok))
+        return ok
+
+    monkeypatch.setattr(cls, "verify", recorded)
+    return calls
+
+
+def test_memo_verifies_each_valid_signature_once(monkeypatch):
+    calls = count_verifies(monkeypatch, Ed25519Scheme)
+    cfg = replace(
+        SMALL,
+        n_nodes=6,
+        duration=30,
+        scheme="ed25519",
+        seed=2,
+        tx_model=TxModel.UTXO,
+        rewards=RewardSchedule(50, 10),
+    )
+    sim = Simulator(cfg)
+    asked = count_verifies(monkeypatch, type(sim.scheme))
+    assert sim.run().blocks_minted > 0
+    verified = [triple for triple, ok in calls if ok]
+    assert len(verified) == len(set(verified)) > 0
+    assert sim.scheme.verified == set(verified)
+    # every node checks the same signatures, so most questions are repeats
+    assert len(asked) > 2 * len(calls)
+
+
+def test_memo_never_remembers_a_failed_check(monkeypatch):
+    calls = count_verifies(monkeypatch, HashStubScheme)
+    memo = Simulator(SMALL).scheme
+    secret, node_id = memo.keypair(b"memo")
+    signature = memo.sign(secret, b"payload")
+    tampered = bytes([signature[0] ^ 1]) + signature[1:]
+    assert [memo.verify(node_id, b"payload", tampered) for _ in range(3)] == [False] * 3
+    assert len(calls) == 3
+    assert memo.verify(node_id, b"payload", signature)
+    assert memo.verify(node_id, b"payload", signature)
+    assert len(calls) == 4
+    assert memo.verified == {(node_id.public_key, b"payload", signature)}
+
+
+def test_each_simulator_has_its_own_memo(monkeypatch):
+    calls = count_verifies(monkeypatch, HashStubScheme)
+    first, second = Simulator(SMALL).scheme, Simulator(SMALL).scheme
+    secret, node_id = first.keypair(b"memo")
+    signature = first.sign(secret, b"payload")
+    assert first.verify(node_id, b"payload", signature)
+    assert second.verified == set()
+    assert second.verify(node_id, b"payload", signature)
+    assert len(calls) == 2
+
+
+def test_get_scheme_stays_uncached(monkeypatch):
+    calls = count_verifies(monkeypatch, HashStubScheme)
+    plain = get_scheme("stub")
+    assert type(plain) is HashStubScheme
+    assert Simulator(SMALL).scheme.plain is plain
+    secret, node_id = plain.keypair(b"memo")
+    signature = plain.sign(secret, b"payload")
+    assert plain.verify(node_id, b"payload", signature)
+    assert plain.verify(node_id, b"payload", signature)
+    assert len(calls) == 2
+
+
+def test_propose_slot_drops_a_forged_payment():
+    sim = Simulator(SMALL)
+    node = sim.nodes[0]
+    honest = node.build_payment()
+    forged = Transaction(honest.sender, honest.body, bytes(32))
+    node.accept_tx(forged)
+    node.on_propose_slot()  # too few valid entries to propose
+    assert node.pending is None
+    assert forged.tx_id not in node.mempool
 
 
 def test_replay_checked_run_stays_consistent():

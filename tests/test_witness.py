@@ -7,6 +7,7 @@ from scorechain.core_types import (
     Block,
     ChainConfig,
     MAX_HASH,
+    Transaction,
     coinbase_transaction,
     enc_u256,
     get_scheme,
@@ -124,13 +125,16 @@ def test_propose_drops_conflicting_and_invalid():
     a = make_transaction(STUB, secret, sender, AccountBody(recipient, 1, 0))
     b = make_transaction(STUB, secret, sender, AccountBody(recipient, 2, 0))  # same nonce
     future = make_transaction(STUB, secret, sender, AccountBody(recipient, 1, 5))
+    forged = Transaction(sender, AccountBody(recipient, 3, 1), bytes(32))
     filler = payments(parties[2:], 3)
     dead = []
-    req = propose_block(parties[0][1], state, [a, b, future] + filler, CFG, dead=dead)
+    req = propose_block(parties[0][1], state, [a, b, future, forged] + filler, CFG, dead=dead)
     assert req is not None
     included = req.block.transactions
     assert a in included and b not in included and future not in included
-    assert dead == [b.tx_id]  # a reused nonce is dead; a future one may yet apply
+    assert forged not in included
+    # a reused nonce and a bad signature are dead; a future nonce may yet apply
+    assert dead == [b.tx_id, forged.tx_id]
 
 
 def test_propose_returns_none_when_short():
