@@ -89,15 +89,12 @@ from .simnet import (
 from .witness import (
     Refusal,
     RefusalReason,
-    WitnessRequest,
     WitnessSignature,
     distance,
     is_eligible_witness,
     mint_block,
     propose_block,
     sign_witness,
-    witness_digest,
-    witness_message,
 )
 
 __version__ = "0.1.0"

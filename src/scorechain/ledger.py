@@ -45,13 +45,14 @@ from .core_types import (
     enc_u8,
     enc_u32,
     enc_u64,
+    enc_u256,
     genesis_block,
     hash256,
     serialize_block,
 )
 from .incentive import CoinbaseRule
 from .scoring import block_score, sort_key
-from .witness import is_eligible_witness, witness_message
+from .witness import is_eligible_witness
 
 REC_CHAIN_FILE = 0x10
 
@@ -355,7 +356,6 @@ class BlockReject(Enum):
     INVALID_TX = "invalid_tx"
     BAD_COINBASE = "bad_coinbase"
     DUPLICATE = "duplicate"
-    UNKNOWN_PARENT_AFTER_TIMEOUT = "unknown_parent_after_timeout"
 
 
 class ApplyStatus(Enum):
@@ -410,9 +410,9 @@ class ChainState:
     and post-block snapshots depend only on a block's ancestry, never on the
     observing node, and a node only consults entries for blocks it holds.
     witness.propose_block stores its candidate's post-state there too, under
-    the candidate's block_hash, so a witness's candidate_block_valid (and a
-    minted block without coinbase, which keeps that hash) skips the
-    transactions the proposer already ran.
+    the candidate's block_hash, so a witness's candidate_block_valid and the
+    minted block (its candidate plus any coinbase) skip the transactions the
+    proposer already ran.
     """
 
     def __init__(
@@ -452,7 +452,6 @@ class ChainState:
 
         # block hash -> (stats.applies when buffered, block), in buffer order
         self._orphans: dict[int, tuple[int, Block]] = {}
-        self._expired: set[int] = set()
 
     # -- views ---------------------------------------------------------------
 
@@ -506,11 +505,6 @@ class ChainState:
             return ApplyResult(ApplyStatus.REJECTED, BlockReject.BAD_STRUCTURE)
         parent = self.blocks.get(block.parent_hash)
         if parent is None:
-            if h in self._expired:
-                self.stats.rejects += 1
-                return ApplyResult(
-                    ApplyStatus.REJECTED, BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
-                )
             self._buffer_orphan(block)
             return ApplyResult(ApplyStatus.ORPHANED)
         reason = self._full_validate(block, parent)
@@ -539,7 +533,23 @@ class ChainState:
         return reason
 
     def _validate_uncached(self, block: Block, parent: Block) -> "BlockReject | None":
-        reason = self._check_structure(block, parent)
+        """A minted block is its candidate, a certificate and a coinbase.
+
+        The candidate is the block's user transactions up to the first system
+        transaction; the rest, the tail, must be exactly the coinbase rule's
+        output, so a system transaction anywhere else is BAD_COINBASE. The
+        candidate takes the path candidate_block_valid takes, under its own
+        hash, which reuses the post-state stored while it was proposed or
+        witnessed; the block's own snapshot is that one plus the coinbase.
+        """
+        txs = block.transactions
+        cut = next((i for i, tx in enumerate(txs) if tx.is_coinbase()), len(txs))
+        if not all(tx.is_coinbase() for tx in txs[cut:]):
+            return BlockReject.BAD_COINBASE
+        candidate = block
+        if cut < len(txs):
+            candidate = Block(block.parent_hash, block.height, block.proposer, txs[:cut])
+        reason = self._check_structure(candidate, parent)
         if reason is not None:
             return reason
 
@@ -549,63 +559,67 @@ class ChainState:
         witnesses = tuple(node for node, _ in sigs)
         if len(set(witnesses)) != len(witnesses) or block.proposer in witnesses:
             return BlockReject.BAD_WITNESS
-        message = witness_message(block)
+        message = enc_u256(candidate.block_hash)
         for node, sig in sigs:
             if not is_eligible_witness(block.proposer, node, self.cfg):
                 return BlockReject.BAD_WITNESS
             if not self.scheme.verify(node, message, sig):
                 return BlockReject.BAD_WITNESS
 
-        reason = self._apply_txs(block, parent)
+        reason = self._apply_txs(candidate, parent)
         if reason is not None:
             return reason
-        # the one coinbase check: the system transactions must be exactly what
-        # the chain's rule prescribes; without a rule, none is legitimate
+        # the one coinbase check: the tail must be exactly what the chain's
+        # rule prescribes; without a rule, no system transaction is legitimate
         expected: tuple[Transaction, ...] = ()
         if self.coinbase_rule is not None:
             system_nonce = self.system_nonce_at(parent.block_hash)
-            expected = self.coinbase_rule(block, witnesses, system_nonce)
-        if tuple(tx for tx in block.transactions if tx.is_coinbase()) != expected:
+            expected = self.coinbase_rule(candidate, witnesses, system_nonce)
+        if txs[cut:] != expected:
             return BlockReject.BAD_COINBASE
+        if candidate is not block and block.block_hash not in self.snapshots:
+            indices = self.snapshots[candidate.block_hash].clone()
+            for tx in expected:
+                indices.apply_tx(tx)
+            self.snapshots[block.block_hash] = indices
         return None
 
     def _check_structure(self, block: Block, parent: Block) -> "BlockReject | None":
-        """Checks shared by candidates and minted blocks, before any tx runs."""
+        """A candidate's checks before any transaction runs."""
         if block.height != parent.height + 1 or block.proposer == SYSTEM_ID:
             return BlockReject.BAD_STRUCTURE
         txs = block.transactions
         if len({tx.tx_id for tx in txs}) != len(txs):
             return BlockReject.BAD_STRUCTURE
-        if sum(1 for tx in txs if not tx.is_coinbase()) < self.cfg.tx_count_min:
+        if len(txs) < self.cfg.tx_count_min:
             return BlockReject.TOO_FEW_TXS
         return None
 
     def _apply_txs(self, block: Block, parent: Block) -> "BlockReject | None":
-        """Run the block's transactions on its parent's state; store the result.
+        """Run a candidate's transactions on its parent's state; store the result.
 
         The snapshot is keyed by block hash, which covers parent and
-        transactions, so one computed while proposing or validating a
-        candidate serves the minted block verbatim.
+        transactions, so one computed while proposing or witnessing a
+        candidate serves every later check of it. validate_tx refuses system
+        transactions, so a candidate carrying one is INVALID_TX.
         """
         if block.block_hash in self.snapshots:
             return None
         indices = self.snapshots[parent.block_hash].clone()
         for tx in block.transactions:
-            # system transactions are checked afterwards, by equality with
-            # the coinbase rule
-            if not tx.is_coinbase() and indices.validate_tx(tx, self.scheme) is not None:
+            if indices.validate_tx(tx, self.scheme) is not None:
                 return BlockReject.INVALID_TX
             indices.apply_tx(tx)
         self.snapshots[block.block_hash] = indices
         return None
 
     def candidate_block_valid(self, block: Block) -> bool:
-        """Pre-certificate validity: structure and user transactions only.
+        """Pre-certificate validity: structure and transactions only.
 
-        This is what a witness checks before endorsing; the witness count and
-        the exact coinbase schedule apply to minted blocks, not candidates.
-        A candidate carrying a system transaction is invalid, since minting
-        appends the coinbase after the certificate.
+        This is what a witness checks before endorsing; the certificate and
+        the coinbase belong to minted blocks, not candidates. A candidate
+        carrying a system transaction is invalid, since minting appends the
+        coinbase after the certificate.
         """
         parent = self.blocks.get(block.parent_hash)
         if parent is None:
@@ -614,8 +628,7 @@ class ChainState:
         ok = self.verdicts.get(key)
         if ok is None:
             ok = (
-                not any(tx.is_coinbase() for tx in block.transactions)
-                and self._check_structure(block, parent) is None
+                self._check_structure(block, parent) is None
                 and self._apply_txs(block, parent) is None
             )
             self.verdicts[key] = ok
@@ -630,7 +643,6 @@ class ChainState:
 
     def _discard_orphan(self, h: int) -> None:
         del self._orphans[h]
-        self._expired.add(h)
         self.stats.orphans_expired += 1
 
     def _prune_orphans(self) -> None:

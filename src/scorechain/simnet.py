@@ -41,6 +41,7 @@ from .core_types import (
     TxOutput,
     UtxoBody,
     enc_u64,
+    enc_u256,
     get_scheme,
     make_transaction,
 )
@@ -57,13 +58,11 @@ from .ledger import (
 from .scoring import block_score
 from .witness import (
     Refusal,
-    WitnessRequest,
     WitnessSignature,
     is_eligible_witness,
     mint_block,
     propose_block,
     sign_witness,
-    witness_message,
 )
 
 
@@ -275,7 +274,7 @@ class TxGossip:
 
 @dataclass(frozen=True, slots=True)
 class WitnessReqMsg:
-    req: WitnessRequest
+    candidate: Block
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,7 +376,7 @@ COUNTER_FIELDS = (
 class _Pending:
     """A proposal awaiting witness signatures."""
 
-    req: WitnessRequest
+    candidate: Block
     sigs: dict[NodeId, WitnessSignature] = field(default_factory=dict)
 
 
@@ -447,28 +446,28 @@ class HonestNode:
             return
         # selection doubles as mempool garbage collection
         dead: list[int] = []
-        req = propose_block(
+        candidate = propose_block(
             self.node_id, self.state, self.mempool.values(), self.sim.cfg.chain, dead=dead
         )
         for tx_id in dead:
             del self.mempool[tx_id]
-        if req is None:
+        if candidate is None:
             return
-        best = self.state.best_score_at(req.height)
-        if best is not None and best < block_score(req.block):
+        best = self.state.best_score_at(candidate.height)
+        if best is not None and best < block_score(candidate):
             return  # a known competitor already wins that height
-        self.sim.schedule_timeout(self.index, req.block_hash)
-        self.pending = self.float_request(req)
+        self.sim.schedule_timeout(self.index, candidate.block_hash)
+        self.pending = self.float_request(candidate)
 
-    def float_request(self, req: WitnessRequest) -> _Pending:
+    def float_request(self, candidate: Block) -> _Pending:
         """Count a proposal and broadcast it to the witnesses.
 
         Returns the record that collects the endorsements; the caller keeps
         it. Only self.pending expires, on a timeout the caller schedules first.
         """
         self.sim.report.proposals += 1
-        self.sim.broadcast(self.index, WitnessReqMsg(req))
-        return _Pending(req)
+        self.sim.broadcast(self.index, WitnessReqMsg(candidate))
+        return _Pending(candidate)
 
     # -- message handlers ------------------------------------------------------
 
@@ -476,17 +475,17 @@ class HonestNode:
         result = sign_witness(
             self.secret,
             self.node_id,
-            msg.req,
+            msg.candidate,
             self.state,
             self.sim.cfg.chain,
             self.witness_log,
         )
         if isinstance(result, WitnessSignature):
-            self.sim.send(self.index, sender, WitnessSigMsg(msg.req.block_hash, result))
+            self.sim.send(self.index, sender, WitnessSigMsg(msg.candidate.block_hash, result))
 
     def on_witness_sig(self, msg: WitnessSigMsg) -> None:
         pending = self.pending
-        if pending is not None and pending.req.block_hash == msg.block_hash:
+        if pending is not None and pending.candidate.block_hash == msg.block_hash:
             if self.mint_and_adopt(pending, msg.sig):
                 self.pending = None
 
@@ -501,12 +500,12 @@ class HonestNode:
         if len(pending.sigs) < sim.cfg.chain.witness_m:
             return False
         block = mint_block(
-            pending.req,
+            pending.candidate,
             list(pending.sigs.values()),
             sim.cfg.chain,
             sim.scheme,
             coinbase_rule=sim.coinbase_rule,
-            system_nonce=self.state.system_nonce_at(pending.req.block.parent_hash),
+            system_nonce=self.state.system_nonce_at(pending.candidate.parent_hash),
         )
         if block is None:
             return False
@@ -519,7 +518,7 @@ class HonestNode:
         if result.status is ApplyStatus.ORPHANED and pull_from is not None:
             self.sim.send(self.index, pull_from, PullReq(block.parent_hash))
         if result.stored:
-            if self.pending is not None and self.state.height >= self.pending.req.height:
+            if self.pending is not None and self.state.height >= self.pending.candidate.height:
                 self.pending = None  # someone else won the height; move on
             # only the apply that stores a block reports it accepted, so each
             # block is broadcast once
@@ -561,7 +560,7 @@ class HonestNode:
             self.handle_block(block)
 
     def on_timeout(self, block_hash: int) -> None:
-        if self.pending is not None and self.pending.req.block_hash == block_hash:
+        if self.pending is not None and self.pending.candidate.block_hash == block_hash:
             self.pending = None
             self.sim.report.proposals_expired += 1
 
@@ -588,20 +587,16 @@ class AdversaryNode(HonestNode):
     is_adversary = True
 
     def on_witness_request(self, msg: WitnessReqMsg, sender: int) -> None:
-        req = msg.req
-        if req.proposer == self.node_id:
+        candidate = msg.candidate
+        if candidate.proposer == self.node_id:
             return
-        try:
-            eligible = is_eligible_witness(req.proposer, self.node_id, self.sim.cfg.chain)
-        except ValueError:
-            return
-        if not eligible:
+        if not is_eligible_witness(candidate.proposer, self.node_id, self.sim.cfg.chain):
             return  # an ineligible signature would be dropped anyway
-        sig = self.sim.scheme.sign(self.secret, witness_message(req.block))
+        sig = self.sim.scheme.sign(self.secret, enc_u256(candidate.block_hash))
         self.sim.send(
             self.index,
             sender,
-            WitnessSigMsg(req.block_hash, WitnessSignature(self.node_id, sig)),
+            WitnessSigMsg(candidate.block_hash, WitnessSignature(self.node_id, sig)),
         )
 
 
@@ -671,23 +666,23 @@ class EquivocateAdversary(AdversaryNode):
             return
         chain = self.sim.cfg.chain
         need = chain.tx_count_min
-        req = propose_block(
+        proposal = propose_block(
             self.node_id, self.state, self.mempool.values(), chain, max_txs=need + 1
         )
-        if req is None or len(req.block.transactions) <= need:
+        if proposal is None or len(proposal.transactions) <= need:
             super().on_propose_slot()
             return
-        valid = req.block.transactions
-        parent, height = req.block.parent_hash, req.height
-        first = WitnessRequest(Block(parent, height, self.node_id, valid[:need]))
-        second = WitnessRequest(Block(parent, height, self.node_id, valid[1:]))
+        valid = proposal.transactions
+        parent, height = proposal.parent_hash, proposal.height
+        first = Block(parent, height, self.node_id, valid[:need])
+        second = Block(parent, height, self.node_id, valid[1:])
         self.sim.schedule_timeout(self.index, first.block_hash)
         self.pending = self.float_request(first)
         self.twin = self.float_request(second)
 
     def on_witness_sig(self, msg: WitnessSigMsg) -> None:
         twin = self.twin
-        if twin is not None and twin.req.block_hash == msg.block_hash:
+        if twin is not None and twin.candidate.block_hash == msg.block_hash:
             if self.mint_and_adopt(twin, msg.sig):
                 self.twin = None
             return
@@ -715,9 +710,9 @@ class InvalidPushAdversary(AdversaryNode):
         if len(txs) < cfg.chain.tx_count_min:
             return
         head = self.state.head
-        req = WitnessRequest(Block(head.block_hash, head.height + 1, self.node_id, txs))
-        sim.schedule_timeout(self.index, req.block_hash)
-        self.pending = self.float_request(req)
+        candidate = Block(head.block_hash, head.height + 1, self.node_id, txs)
+        sim.schedule_timeout(self.index, candidate.block_hash)
+        self.pending = self.float_request(candidate)
 
     def build_invalid_tx(self) -> Transaction:
         sim = self.sim
@@ -1142,7 +1137,6 @@ def witness_corruption_trials(
         scheme, proposer_secret, proposer, AccountBody(recipient, 1, 7777)
     )
     block = Block(state.genesis.block_hash, 1, proposer, (bad_tx,))
-    req = WitnessRequest(block)
     eligible = [
         i
         for i in range(1, n_keys)
@@ -1150,7 +1144,7 @@ def witness_corruption_trials(
     ]
     if len(eligible) < m:
         raise ValueError("eligible set smaller than m")
-    message = witness_message(block)
+    message = enc_u256(block.block_hash)
     witnessed = 0
     adversarial_slots = 0
     for _ in range(attempts):
@@ -1163,11 +1157,11 @@ def witness_corruption_trials(
                 adversarial_slots += 1
                 sigs.append(WitnessSignature(wid, scheme.sign(secret, message)))
             else:
-                outcome = sign_witness(secret, wid, req, state, cfg, {})
+                outcome = sign_witness(secret, wid, block, state, cfg, {})
                 if not isinstance(outcome, Refusal):
                     raise AssertionError("honest witness endorsed an invalid block")
                 complete = False
-        if complete and mint_block(req, sigs, cfg, scheme) is not None:
+        if complete and mint_block(block, sigs, cfg, scheme) is not None:
             witnessed += 1
     return CorruptionResult(
         witnessed_rate=witnessed / attempts,

@@ -1,22 +1,22 @@
 """Two-stage minting: propose a block, then gather witness signatures.
 
 Stage one collects enough valid, mutually compatible transactions to fill a
-block and broadcasts the candidate as a witness request. Stage two gathers
-signatures from eligible witnesses (nodes whose key digest lies within a
-configured XOR distance of the proposer's, a uniformly random subset of the
-network) and attaches the first m valid ones as the block's certificate.
+block and broadcasts that candidate, a plain Block without system
+transactions or certificate. Stage two gathers signatures from eligible
+witnesses (nodes whose key digest lies within a configured XOR distance of
+the proposer's, a uniformly random subset of the network) and attaches the
+first m valid ones as the block's certificate.
 
-Witnesses sign a digest over the header and the proposal's user transactions.
-Minting then appends the chain's coinbase (incentive.make_coinbase_rule), if
-it has one, after the certificate is complete. Without system transactions
-the digest equals block_hash, so an economically empty chain signs the block
-hash itself; with rewards the digest still covers everything the witnesses
-actually attested to, and ledgers recompute the coinbase rather than trust it.
+Witnesses sign u256(candidate.block_hash). Minting then appends the chain's
+coinbase (incentive.make_coinbase_rule), if it has one, after the user
+transactions, so a minted block is its candidate plus a certificate plus
+the coinbase; ledgers split it back at the first system transaction and
+recompute the coinbase rather than trust it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
 
@@ -26,9 +26,7 @@ from .core_types import (
     NodeId,
     SignatureScheme,
     Transaction,
-    block_core_bytes,
     enc_u256,
-    hash256,
 )
 from .incentive import CoinbaseRule
 from .scoring import block_score
@@ -53,48 +51,6 @@ def is_eligible_witness(proposer: NodeId, candidate: NodeId, cfg: ChainConfig) -
     return distance(proposer, candidate) < cfg.witness_threshold
 
 
-def witness_digest(block: Block) -> int:
-    """The value witnesses sign: header + user transactions.
-
-    System (coinbase) transactions are appended after signature collection,
-    so they are excluded; for a block without them this is exactly
-    block_hash.
-    """
-    user = block.user_transactions()
-    if len(user) == len(block.transactions):
-        return block.block_hash
-    return hash256(
-        block_core_bytes(block.parent_hash, block.height, block.proposer, user)
-    )
-
-
-def witness_message(block: Block) -> bytes:
-    return enc_u256(witness_digest(block))
-
-
-@dataclass(frozen=True, slots=True)
-class WitnessRequest:
-    """A candidate block circulated for endorsement."""
-
-    block: Block
-    digest: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digest", witness_digest(self.block))
-
-    @property
-    def proposer(self) -> NodeId:
-        return self.block.proposer
-
-    @property
-    def block_hash(self) -> int:
-        return self.block.block_hash
-
-    @property
-    def height(self) -> int:
-        return self.block.height
-
-
 @dataclass(frozen=True, slots=True)
 class WitnessSignature:
     witness: NodeId
@@ -113,7 +69,7 @@ class Refusal:
     reason: RefusalReason
 
 
-# height -> digest this node signed there; one entry per height, ever
+# height -> hash of the candidate this node signed there; one entry per height, ever
 WitnessLog = MutableMapping[int, int]
 
 # the most user transactions a proposal packs, unless the chain requires more
@@ -127,7 +83,7 @@ def propose_block(
     cfg: ChainConfig,
     max_txs: "int | None" = None,
     dead: "list[int] | None" = None,
-) -> "WitnessRequest | None":
+) -> "Block | None":
     """Stage one: pack valid, non-conflicting transactions into a candidate.
 
     Transactions are validated sequentially against the head state, so a
@@ -136,9 +92,9 @@ def propose_block(
 
     The head clone the selected transactions ran on is the candidate's
     post-state. It is stored in state.snapshots under the candidate's
-    block_hash, which commits to parent and transactions, so witnesses (and
-    the minted block, when minting appends no coinbase) reuse it instead of
-    running the transactions again.
+    block_hash, which commits to parent and transactions, so witnesses and
+    the minted block (whose user transactions are the candidate) reuse it
+    instead of running the transactions again.
 
     When dead is given, the same pass appends the ids of the transactions it
     saw that can never validate again (system transactions and ledger.DEAD_TX
@@ -167,49 +123,49 @@ def propose_block(
     if len(selected) < cfg.tx_count_min:
         return None
     head = state.head
-    block = Block(
+    candidate = Block(
         parent_hash=head.block_hash,
         height=head.height + 1,
         proposer=proposer,
         transactions=tuple(selected),
     )
-    state.snapshots.setdefault(block.block_hash, indices)
-    return WitnessRequest(block)
+    state.snapshots.setdefault(candidate.block_hash, indices)
+    return candidate
 
 
 def sign_witness(
     secret: bytes,
-    candidate: NodeId,
-    req: WitnessRequest,
+    node: NodeId,
+    candidate: Block,
     state: "ChainState",
     cfg: ChainConfig,
     log: WitnessLog,
 ) -> "WitnessSignature | Refusal":
     """Stage two, witness side: endorse a candidate block or refuse.
 
-    An honest witness signs only if it is eligible, the block validates
-    against its own chain view, no known block at that height already beats
-    the candidate's score, and it has not endorsed a different block at the
-    same height. Re-signing the identical candidate is idempotent.
+    An honest witness signs u256(candidate.block_hash) only if it is
+    eligible, the candidate validates against its own chain view, no known
+    block at that height already beats the candidate's score, and it has not
+    endorsed a different candidate at the same height. Re-signing the
+    identical candidate is idempotent.
     """
-    if candidate == req.proposer:
+    proposer, height = candidate.proposer, candidate.height
+    if node == proposer or not is_eligible_witness(proposer, node, cfg):
         return Refusal(RefusalReason.INELIGIBLE)
-    if not is_eligible_witness(req.proposer, candidate, cfg):
-        return Refusal(RefusalReason.INELIGIBLE)
-    prior = log.get(req.height)
-    if prior is not None and prior != req.digest:
+    prior = log.get(height)
+    if prior is not None and prior != candidate.block_hash:
         return Refusal(RefusalReason.ALREADY_WITNESSED_HEIGHT)
-    if not state.candidate_block_valid(req.block):
+    if not state.candidate_block_valid(candidate):
         return Refusal(RefusalReason.INVALID_BLOCK)
-    best = state.best_score_at(req.height)
-    if best is not None and best < block_score(req.block):
+    best = state.best_score_at(height)
+    if best is not None and best < block_score(candidate):
         return Refusal(RefusalReason.LOWER_SCORE_EXISTS)
-    log[req.height] = req.digest
-    return WitnessSignature(candidate, state.scheme.sign(secret, enc_u256(req.digest)))
+    log[height] = candidate.block_hash
+    return WitnessSignature(node, state.scheme.sign(secret, enc_u256(candidate.block_hash)))
 
 
 def mint_block(
-    req: WitnessRequest,
+    candidate: Block,
     sigs: Sequence[WitnessSignature],
     cfg: ChainConfig,
     scheme: SignatureScheme,
@@ -220,18 +176,20 @@ def mint_block(
 
     Bad entries are dropped, never fatal: duplicates by witness identity,
     the proposer itself, ineligible witnesses, and signatures that fail
-    verification. Returns None while fewer than m survivors exist. The
-    minted block carries the proposal's transactions followed by exactly
-    what coinbase_rule returns for the kept witnesses; system_nonce is the
-    system account's next nonce at the proposal's parent.
+    verification against u256(candidate.block_hash). Returns None while
+    fewer than m survivors exist. The minted block carries the candidate's
+    transactions followed by exactly what coinbase_rule returns for the kept
+    witnesses; system_nonce is the system account's next nonce at the
+    candidate's parent.
     """
-    message = enc_u256(req.digest)
+    message = enc_u256(candidate.block_hash)
+    proposer = candidate.proposer
     seen: set[NodeId] = set()
     kept: list[WitnessSignature] = []
     for ws in sigs:
-        if ws.witness == req.proposer or ws.witness in seen:
+        if ws.witness == proposer or ws.witness in seen:
             continue
-        if not is_eligible_witness(req.proposer, ws.witness, cfg):
+        if not is_eligible_witness(proposer, ws.witness, cfg):
             continue
         if not scheme.verify(ws.witness, message, ws.signature):
             continue
@@ -244,11 +202,11 @@ def mint_block(
     coinbase: tuple[Transaction, ...] = ()
     if coinbase_rule is not None:
         witnesses = tuple(ws.witness for ws in kept)
-        coinbase = coinbase_rule(req.block, witnesses, system_nonce)
+        coinbase = coinbase_rule(candidate, witnesses, system_nonce)
     return Block(
-        parent_hash=req.block.parent_hash,
-        height=req.block.height,
-        proposer=req.block.proposer,
-        transactions=req.block.transactions + coinbase,
+        parent_hash=candidate.parent_hash,
+        height=candidate.height,
+        proposer=proposer,
+        transactions=candidate.transactions + coinbase,
         witness_sigs=tuple((ws.witness, ws.signature) for ws in kept),
     )

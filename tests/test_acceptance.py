@@ -22,6 +22,7 @@ from scorechain.core_types import (
     Block,
     ChainConfig,
     TxModel,
+    enc_u256,
     get_scheme,
     make_transaction,
 )
@@ -62,11 +63,9 @@ def payments(parties, count, nonce=0):
 
 
 def minted(parent_hash, height, txs, parties, proposer_idx=0):
-    from scorechain.witness import witness_message
-
     _, proposer = parties[proposer_idx]
     bare = Block(parent_hash, height, proposer, tuple(txs))
-    message = witness_message(bare)
+    message = enc_u256(bare.block_hash)
     sigs = []
     for secret, nid in parties:
         if nid == proposer:

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the package modules is used, and every
-private function, method or class is named somewhere besides its definition.
+"""Source hygiene: every import in the package modules is used, every
+private function, method or class is named somewhere besides its definition,
+and every enum member is named as ``Class.MEMBER`` somewhere in the package.
 
 Stdlib only. ``__init__.py`` is skipped by the import check, since its
 imports are re-exports. A name counts as used when it is loaded anywhere in
@@ -62,6 +63,30 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     }
 
 
+def enum_members(tree: ast.Module) -> dict[tuple[str, str], int]:
+    """Each (class, member) of a class deriving directly from Enum, with its line."""
+    members: dict[tuple[str, str], int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "Enum" for base in node.bases
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            members[node.name, target.id] = stmt.lineno
+    return members
+
+
+def member_references(tree: ast.Module) -> set[tuple[str, str]]:
+    """Each (name, attribute) loaded as ``name.attribute``."""
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return used_names(tree) | attributes
@@ -118,3 +143,37 @@ def test_checker_sees_private_definitions_and_their_references():
         "_dead",
         "_orphan",
     ]
+
+
+def test_every_enum_member_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    referenced = set().union(*(member_references(tree) for tree in trees.values()))
+    members = {
+        (name, cls, member): line
+        for name, tree in trees.items()
+        for (cls, member), line in enum_members(tree).items()
+    }
+    assert members
+    unreferenced = sorted(
+        f"{name}:{line} {cls}.{member}"
+        for (name, cls, member), line in members.items()
+        if (cls, member) not in referenced
+    )
+    assert not unreferenced, "enum members named nowhere: " + ", ".join(unreferenced)
+
+
+def test_checker_sees_enum_members_and_their_references():
+    tree = ast.parse(
+        "from enum import Enum\n"
+        "class Colour(Enum):\n"
+        "    RED = 'red'\n"
+        "    GREEN = 'green'\n"
+        "    def paint(self) -> None:\n"
+        "        pass\n"
+        "class Plain:\n"
+        "    BLUE = 'blue'\n"
+        "def pick() -> 'Colour':\n"
+        "    return Colour.RED\n"
+    )
+    assert sorted(enum_members(tree)) == [("Colour", "GREEN"), ("Colour", "RED")]
+    assert sorted(set(enum_members(tree)) - member_references(tree)) == [("Colour", "GREEN")]

@@ -11,6 +11,7 @@ from scorechain.core_types import (
     TxModel,
     TxOutput,
     UtxoBody,
+    enc_u256,
     get_scheme,
     make_transaction,
 )
@@ -21,7 +22,7 @@ from scorechain.incentive import (
     make_coinbase_rule,
 )
 from scorechain.ledger import ApplyStatus, BlockReject, ChainState, fund_accounts, fund_utxos
-from scorechain.witness import WitnessRequest, WitnessSignature, mint_block, witness_message
+from scorechain.witness import WitnessSignature, mint_block
 
 STUB = get_scheme("stub")
 
@@ -110,25 +111,45 @@ def one_payment(model, state, parties):
     return make_transaction(STUB, secret, sender, body)
 
 
+def mint_paid(model, parties):
+    """A one-payment reward block minted by parties[0], and a ledger under its rule."""
+    rule = make_coinbase_rule(RewardSchedule(50, 5), model)
+    ruled = funded_state(model, parties, coinbase_rule=rule)
+    payment = one_payment(model, ruled, parties)
+    bare = Block(ruled.genesis.block_hash, 1, parties[0][1], (payment,))
+    message = enc_u256(bare.block_hash)
+    sigs = [WitnessSignature(nid, STUB.sign(secret, message)) for secret, nid in parties[1:3]]
+    system_nonce = ruled.system_nonce_at(ruled.genesis.block_hash)
+    block = mint_block(bare, sigs, ruled.cfg, STUB, coinbase_rule=rule, system_nonce=system_nonce)
+    witnesses = (parties[1][1], parties[2][1])
+    assert block.transactions == (payment,) + rule(bare, witnesses, 0)
+    return block, ruled
+
+
 def test_minted_coinbase_is_accepted_only_under_the_same_rule():
     parties = [STUB.keypair(b"rt" + bytes([i])) for i in range(4)]
-    witnesses = (parties[1][1], parties[2][1])
     for model in (TxModel.ACCOUNT, TxModel.UTXO):
-        rule = make_coinbase_rule(RewardSchedule(50, 5), model)
-        ruled = funded_state(model, parties, coinbase_rule=rule)
-        payment = one_payment(model, ruled, parties)
-        bare = Block(ruled.genesis.block_hash, 1, parties[0][1], (payment,))
-        message = witness_message(bare)
-        sigs = [WitnessSignature(nid, STUB.sign(secret, message)) for secret, nid in parties[1:3]]
-        system_nonce = ruled.system_nonce_at(ruled.genesis.block_hash)
-        block = mint_block(
-            WitnessRequest(bare), sigs, ruled.cfg, STUB, coinbase_rule=rule, system_nonce=system_nonce
-        )
-
-        assert block.transactions == (payment,) + rule(bare, witnesses, 0)
+        block, ruled = mint_paid(model, parties)
         assert ruled.apply_block(block).status is ApplyStatus.ACCEPTED
         rejected = funded_state(model, parties).apply_block(block)
         assert (rejected.status, rejected.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
+
+
+def test_minted_coinbase_must_trail_the_user_transactions():
+    # moving the coinbase ahead of the payment changes the block hash but not
+    # the candidate the certificate covers; one endorsement must not yield
+    # two valid siblings
+    parties = [STUB.keypair(b"rt" + bytes([i])) for i in range(4)]
+    for model in (TxModel.ACCOUNT, TxModel.UTXO):
+        block, ruled = mint_paid(model, parties)
+        payment, *coinbase = block.transactions
+        moved = Block(
+            block.parent_hash, block.height, block.proposer, (*coinbase, payment), block.witness_sigs
+        )
+        rejected = ruled.apply_block(moved)
+        assert (rejected.status, rejected.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
+        assert ruled.head is ruled.genesis
+        assert ruled.apply_block(block).status is ApplyStatus.ACCEPTED
 
 
 def test_rule_tracks_witness_set_and_height():

@@ -19,6 +19,7 @@ from scorechain.core_types import (
     UtxoBody,
     coinbase_transaction,
     enc_u64,
+    enc_u256,
     get_scheme,
     hash256,
     make_transaction,
@@ -36,7 +37,7 @@ from scorechain.ledger import (
     total_value,
 )
 from scorechain.scoring import block_score
-from scorechain.witness import mint_block, propose_block, sign_witness, witness_message
+from scorechain.witness import mint_block, propose_block, sign_witness
 
 STUB = get_scheme("stub")
 CFG = ChainConfig()  # tx_count_min=4, witness_m=2, confirm_depth=3
@@ -67,7 +68,7 @@ def minted(parent_hash, height, txs, parties, proposer_idx=0, m=None):
     """Hand-built block with valid witness signatures from the party pool."""
     _, proposer = parties[proposer_idx]
     bare = Block(parent_hash, height, proposer, tuple(txs))
-    message = witness_message(bare)
+    message = enc_u256(bare.block_hash)
     sigs = []
     for secret, nid in parties:
         if nid == proposer:
@@ -258,7 +259,7 @@ def test_apply_block_witness_rejects():
     assert state.apply_block(doubled).reason is BlockReject.BAD_WITNESS
 
     secret0, proposer = parties[0]
-    self_sig = (proposer, STUB.sign(secret0, witness_message(good)))
+    self_sig = (proposer, STUB.sign(secret0, enc_u256(good.block_hash)))
     selfish = good.with_witnesses((good.witness_sigs[0], self_sig))
     assert state.apply_block(selfish).reason is BlockReject.BAD_WITNESS
 
@@ -386,9 +387,9 @@ def test_ruleless_ledger_rejects_any_system_transaction(tmp_path):
     txs = tuple(payments(parties, 4))
     bare = minted(g, 1, txs, parties)
     grant = coinbase_transaction(AccountBody(bare.proposer, 10**12, 0))
-    # the certificate covers user transactions only, so it still verifies
+    # the certificate covers the candidate, the user transactions, so a
+    # granting ledger accepts the same certificate below
     forged = with_coinbase(bare, (grant,))
-    assert witness_message(forged) == witness_message(bare)
 
     result = state.apply_block(forged)
     assert (result.status, result.reason) == (ApplyStatus.REJECTED, BlockReject.BAD_COINBASE)
@@ -461,9 +462,8 @@ def test_orphan_expires_after_timeout():
         state.apply_block(filler)  # duplicates still advance the op counter
     assert state.stats.orphans_expired == 1
 
-    retry = state.apply_block(b2)
-    assert retry.status is ApplyStatus.REJECTED
-    assert retry.reason is BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
+    # a discarded orphan that arrives again is buffered again
+    assert state.apply_block(b2).status is ApplyStatus.ORPHANED
 
 
 def test_orphan_pool_capacity_evicts_oldest():
@@ -474,7 +474,7 @@ def test_orphan_pool_capacity_evicts_oldest():
     assert state.apply_block(first).status is ApplyStatus.ORPHANED
     assert state.apply_block(second).status is ApplyStatus.ORPHANED
     assert state.stats.orphans_expired == 1
-    assert state.apply_block(first).reason is BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
+    assert state.apply_block(first).status is ApplyStatus.ORPHANED
 
 
 def test_orphan_pool_capacity_skips_drained_orphans():
@@ -494,8 +494,9 @@ def test_orphan_pool_capacity_skips_drained_orphans():
         assert state.apply_block(orphan).status is ApplyStatus.ORPHANED
     # the pool held o2 and o3; o4 evicted o2, the oldest still buffered
     assert state.stats.orphans_expired == 1
-    assert state.apply_block(o2).reason is BlockReject.UNKNOWN_PARENT_AFTER_TIMEOUT
     assert state.apply_block(o3).reason is BlockReject.DUPLICATE
+    # a discarded orphan that arrives again is buffered again
+    assert state.apply_block(o2).status is ApplyStatus.ORPHANED
 
 
 def test_orphan_subtree_drains_when_its_root_arrives():
@@ -773,9 +774,9 @@ def test_memory_per_block_is_its_writes_not_the_account_count():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for batch in batches:
-            req = propose_block(parties[0][1], state, batch, CFG)
-            sigs = [sign_witness(*parties[w], req, state, CFG, logs[w - 1]) for w in (1, 2)]
-            assert state.apply_block(mint_block(req, sigs, CFG, STUB)).stored
+            candidate = propose_block(parties[0][1], state, batch, CFG)
+            sigs = [sign_witness(*parties[w], candidate, state, CFG, logs[w - 1]) for w in (1, 2)]
+            assert state.apply_block(mint_block(candidate, sigs, CFG, STUB)).stored
         per_block = (tracemalloc.get_traced_memory()[0] - before) / len(batches)
     finally:
         tracemalloc.stop()

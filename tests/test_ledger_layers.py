@@ -21,19 +21,13 @@ from scorechain.core_types import (
     TxOutput,
     UtxoBody,
     enc_u64,
+    enc_u256,
     get_scheme,
     make_transaction,
 )
 from scorechain.incentive import RewardSchedule, make_coinbase_rule
 from scorechain.ledger import ChainState, TxIndices, fund_accounts, fund_utxos
-from scorechain.witness import (
-    WitnessRequest,
-    WitnessSignature,
-    mint_block,
-    propose_block,
-    sign_witness,
-    witness_message,
-)
+from scorechain.witness import WitnessSignature, mint_block, propose_block, sign_witness
 
 STUB = get_scheme("stub")
 CFG = ChainConfig()  # tx_count_min=4, witness_m=2, every key eligible
@@ -170,14 +164,14 @@ def invalid_payment(model: TxModel, parent: Plain, path: list):
 def minted(parent: Block, txs: list, proposer_idx: int, model: TxModel, system_nonce: int):
     secret_of = {nid: secret for secret, nid in PARTIES}
     proposer = PARTIES[proposer_idx][1]
-    req = WitnessRequest(Block(parent.block_hash, parent.height + 1, proposer, tuple(txs)))
-    message = witness_message(req.block)
+    candidate = Block(parent.block_hash, parent.height + 1, proposer, tuple(txs))
+    message = enc_u256(candidate.block_hash)
     sigs = [
         WitnessSignature(nid, STUB.sign(secret_of[nid], message))
         for _, nid in PARTIES
         if nid != proposer
     ][: CFG.witness_m]
-    return mint_block(req, sigs, CFG, STUB, RULES[model], system_nonce)
+    return mint_block(candidate, sigs, CFG, STUB, RULES[model], system_nonce)
 
 
 def ancestry(state: ChainState, block_hash: int) -> list:
@@ -278,17 +272,17 @@ def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
     spend, clash = pay(1, 2, 5, 1), pay(1, 3, 6, 1)
     forged = Transaction(spend.sender, pay(1, 4, 7, 1).body, bytes(32))
     mempool = [spend, clash, forged, pay(5, 6, 1, 0), pay(6, 7, 1, 0), pay(2, 0, 3, 1)]
-    req = propose_block(PARTIES[0][1], state, mempool, CFG)
-    assert req.block.transactions == (spend,) + tuple(mempool[3:])
+    candidate = propose_block(PARTIES[0][1], state, mempool, CFG)
+    assert candidate.transactions == (spend,) + tuple(mempool[3:])
 
     expected = replay_ancestry(state, first.block_hash, genesis)
-    for tx in req.block.transactions:
+    for tx in candidate.transactions:
         expected.apply(tx)
-    assert Plain.of(state.snapshots[req.block_hash]) == expected
+    assert Plain.of(state.snapshots[candidate.block_hash]) == expected
     # a ledger that never saw the proposal
     fresh = ledger()
     assert fresh.apply_block(first).stored
-    assert req.block_hash not in fresh.snapshots
+    assert candidate.block_hash not in fresh.snapshots
 
     validated = []
     validate_tx = TxIndices.validate_tx
@@ -298,10 +292,21 @@ def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
         lambda self, tx, scheme: validated.append(tx) or validate_tx(self, tx, scheme),
     )
     secret, witness = PARTIES[7]
-    assert isinstance(sign_witness(secret, witness, req, state, CFG, {}), WitnessSignature)
+    assert isinstance(sign_witness(secret, witness, candidate, state, CFG, {}), WitnessSignature)
     assert validated == []
 
     # the ledger that never saw the proposal runs the transactions itself
-    assert isinstance(sign_witness(secret, witness, req, fresh, CFG, {}), WitnessSignature)
-    assert validated == list(req.block.transactions)
-    assert Plain.of(fresh.snapshots[req.block_hash]) == expected
+    assert isinstance(sign_witness(secret, witness, candidate, fresh, CFG, {}), WitnessSignature)
+    assert validated == list(candidate.transactions)
+    assert Plain.of(fresh.snapshots[candidate.block_hash]) == expected
+
+    # the minted reward block is the candidate plus a coinbase: admitting it
+    # runs no user transaction again, and its snapshot is the replay's
+    block = minted(first, list(candidate.transactions), 0, model, expected.nonces[SYSTEM_ID])
+    assert block.transactions[len(candidate.transactions) :]  # it carries a coinbase
+    validated.clear()
+    for ledger_state in (state, fresh):
+        assert ledger_state.apply_block(block).stored
+        assert validated == []
+        replay = replay_ancestry(ledger_state, block.block_hash, genesis)
+        assert Plain.of(ledger_state.snapshots[block.block_hash]) == replay

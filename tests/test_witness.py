@@ -21,15 +21,12 @@ from scorechain.witness import (
     MAX_BLOCK_TXS,
     Refusal,
     RefusalReason,
-    WitnessRequest,
     WitnessSignature,
     distance,
     is_eligible_witness,
     mint_block,
     propose_block,
     sign_witness,
-    witness_digest,
-    witness_message,
 )
 
 STUB = get_scheme("stub")
@@ -84,22 +81,36 @@ def test_self_witness_raises():
 
 
 def test_witness_digest_equals_block_hash_without_coinbase():
-    parties = keys(4)
-    _, proposer = parties[0]
-    block = Block(1, 1, proposer, tuple(payments(parties, 4)))
-    assert witness_digest(block) == block.block_hash
-    assert witness_message(block) == enc_u256(block.block_hash)
+    parties = keys(5)
+    state = fresh_state(parties)
+    candidate = proposal(parties, state)
+    # a candidate is a plain block of user transactions; its hash is the digest
+    bare = Block(candidate.parent_hash, candidate.height, candidate.proposer, candidate.transactions)
+    assert candidate == bare
+    secret, wid = parties[1]
+    out = sign_witness(secret, wid, candidate, state, CFG, {})
+    assert STUB.verify(wid, enc_u256(bare.block_hash), out.signature)
 
 
 def test_witness_digest_ignores_coinbase():
-    parties = keys(4)
-    _, proposer = parties[0]
-    user = tuple(payments(parties, 4))
-    bare = Block(1, 1, proposer, user)
-    cb = coinbase_transaction(AccountBody(proposer, 50, 0))
-    padded = Block(1, 1, proposer, user + (cb,))
-    assert witness_digest(padded) == witness_digest(bare) == bare.block_hash
-    assert padded.block_hash != bare.block_hash
+    parties = keys(5)
+    rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.ACCOUNT)
+    state = ChainState(
+        CFG, STUB, fund_accounts({nid: 10**9 for _, nid in parties}), coinbase_rule=rule
+    )
+    candidate = proposal(parties, state)
+    sigs = endorse(candidate, state, parties[1:3])
+    block = mint_block(candidate, sigs, CFG, STUB, coinbase_rule=rule)
+    assert block is not None
+    assert any(tx.is_coinbase() for tx in block.transactions)
+    assert block.block_hash != candidate.block_hash
+    # the user-transaction prefix rebuilds the candidate, whose hash the certificate signs
+    user = tuple(tx for tx in block.transactions if not tx.is_coinbase())
+    core = Block(block.parent_hash, block.height, block.proposer, user)
+    assert core.block_hash == candidate.block_hash
+    message = enc_u256(core.block_hash)
+    assert all(STUB.verify(node, message, sig) for node, sig in block.witness_sigs)
+    assert state.apply_block(block).status.name == "ACCEPTED"
 
 
 # -- propose -----------------------------------------------------------------------
@@ -109,12 +120,13 @@ def test_propose_packs_valid_transactions():
     parties = keys(5)
     state = fresh_state(parties)
     _, proposer = parties[0]
-    req = propose_block(proposer, state, payments(parties, 6), CFG)
-    assert req is not None
-    assert req.height == 1
-    assert req.block.parent_hash == state.head.block_hash
-    assert len(req.block.transactions) >= CFG.tx_count_min
-    assert req.proposer == proposer
+    candidate = propose_block(proposer, state, payments(parties, 6), CFG)
+    assert candidate is not None
+    assert candidate.height == 1
+    assert candidate.parent_hash == state.head.block_hash
+    assert len(candidate.transactions) >= CFG.tx_count_min
+    assert candidate.proposer == proposer
+    assert candidate.witness_sigs == ()
 
 
 def test_propose_drops_conflicting_and_invalid():
@@ -128,9 +140,9 @@ def test_propose_drops_conflicting_and_invalid():
     forged = Transaction(sender, AccountBody(recipient, 3, 1), bytes(32))
     filler = payments(parties[2:], 3)
     dead = []
-    req = propose_block(parties[0][1], state, [a, b, future, forged] + filler, CFG, dead=dead)
-    assert req is not None
-    included = req.block.transactions
+    candidate = propose_block(parties[0][1], state, [a, b, future, forged] + filler, CFG, dead=dead)
+    assert candidate is not None
+    included = candidate.transactions
     assert a in included and b not in included and future not in included
     assert forged not in included
     # a reused nonce and a bad signature are dead; a future nonce may yet apply
@@ -147,15 +159,15 @@ def test_propose_returns_none_when_short():
 def test_propose_respects_max_txs():
     parties = keys(5)
     state = fresh_state(parties)
-    req = propose_block(parties[0][1], state, payments(parties, 12), CFG, max_txs=5)
-    assert req is not None
-    assert len(req.block.transactions) == 5
+    candidate = propose_block(parties[0][1], state, payments(parties, 12), CFG, max_txs=5)
+    assert candidate is not None
+    assert len(candidate.transactions) == 5
     # without max_txs the cap is MAX_BLOCK_TXS, or the chain's minimum if larger
-    req = propose_block(parties[0][1], state, payments(parties, 20), CFG)
-    assert len(req.block.transactions) == MAX_BLOCK_TXS == 12
+    candidate = propose_block(parties[0][1], state, payments(parties, 20), CFG)
+    assert len(candidate.transactions) == MAX_BLOCK_TXS == 12
     wide = ChainConfig(tx_count_min=14)
-    req = propose_block(parties[0][1], state, payments(parties, 20), wide)
-    assert len(req.block.transactions) == 14
+    candidate = propose_block(parties[0][1], state, payments(parties, 20), wide)
+    assert len(candidate.transactions) == 14
 
 
 def test_propose_skips_coinbase_entries():
@@ -163,9 +175,9 @@ def test_propose_skips_coinbase_entries():
     state = fresh_state(parties)
     cb = coinbase_transaction(AccountBody(parties[0][1], 50, 0))
     dead = []
-    req = propose_block(parties[0][1], state, [cb] + payments(parties, 4), CFG, dead=dead)
-    assert req is not None
-    assert cb not in req.block.transactions
+    candidate = propose_block(parties[0][1], state, [cb] + payments(parties, 4), CFG, dead=dead)
+    assert candidate is not None
+    assert cb not in candidate.transactions
     assert dead == [cb.tx_id]
 
 
@@ -173,40 +185,41 @@ def test_propose_skips_coinbase_entries():
 
 
 def proposal(parties, state, n=4):
-    req = propose_block(parties[0][1], state, payments(parties, n), CFG)
-    assert req is not None
-    return req
+    candidate = propose_block(parties[0][1], state, payments(parties, n), CFG)
+    assert candidate is not None
+    return candidate
 
 
 def test_sign_witness_happy_path():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
+    candidate = proposal(parties, state)
     secret, wid = parties[1]
     log = {}
-    out = sign_witness(secret, wid, req, state, CFG, log)
+    out = sign_witness(secret, wid, candidate, state, CFG, log)
     assert isinstance(out, WitnessSignature)
     assert out.witness == wid
-    assert STUB.verify(wid, witness_message(req.block), out.signature)
-    assert log == {1: req.digest}
+    # a witness signs the candidate's hash
+    assert STUB.verify(wid, enc_u256(candidate.block_hash), out.signature)
+    assert log == {1: candidate.block_hash}
 
 
 def test_sign_witness_refuses_self():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
+    candidate = proposal(parties, state)
     secret, _ = parties[0]
-    out = sign_witness(secret, req.proposer, req, state, CFG, {})
+    out = sign_witness(secret, candidate.proposer, candidate, state, CFG, {})
     assert isinstance(out, Refusal) and out.reason is RefusalReason.INELIGIBLE
 
 
 def test_sign_witness_refuses_out_of_range_key():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
+    candidate = proposal(parties, state)
     secret, wid = parties[1]
     tight = ChainConfig(witness_threshold=1)
-    out = sign_witness(secret, wid, req, state, tight, {})
+    out = sign_witness(secret, wid, candidate, state, tight, {})
     assert isinstance(out, Refusal) and out.reason is RefusalReason.INELIGIBLE
 
 
@@ -220,7 +233,7 @@ def test_sign_witness_refuses_invalid_block():
     _, proposer = parties[0]
     block = Block(state.head.block_hash, 1, proposer, tuple(good + [bad]))
     wsecret, wid = parties[3]
-    out = sign_witness(wsecret, wid, WitnessRequest(block), state, CFG, {})
+    out = sign_witness(wsecret, wid, block, state, CFG, {})
     assert isinstance(out, Refusal) and out.reason is RefusalReason.INVALID_BLOCK
 
 
@@ -233,23 +246,23 @@ def test_sign_witness_refuses_candidate_carrying_a_coinbase():
     grant = coinbase_transaction(AccountBody(proposer, 10**12, 0))
     block = Block(state.head.block_hash, 1, proposer, tuple(payments(parties, 4)) + (grant,))
     wsecret, wid = parties[3]
-    out = sign_witness(wsecret, wid, WitnessRequest(block), state, CFG, {})
+    out = sign_witness(wsecret, wid, block, state, CFG, {})
     assert isinstance(out, Refusal) and out.reason is RefusalReason.INVALID_BLOCK
 
 
 def test_sign_witness_refuses_second_digest_at_height_but_resigns_same():
     parties = keys(6)
     state = fresh_state(parties)
-    req_a = proposal(parties, state)
-    req_b = propose_block(parties[5][1], state, payments(parties, 5), CFG)
-    assert req_b is not None and req_b.digest != req_a.digest
+    cand_a = proposal(parties, state)
+    cand_b = propose_block(parties[5][1], state, payments(parties, 5), CFG)
+    assert cand_b is not None and cand_b.block_hash != cand_a.block_hash
     secret, wid = parties[1]
     log = {}
-    first = sign_witness(secret, wid, req_a, state, CFG, log)
+    first = sign_witness(secret, wid, cand_a, state, CFG, log)
     assert isinstance(first, WitnessSignature)
-    again = sign_witness(secret, wid, req_a, state, CFG, log)
+    again = sign_witness(secret, wid, cand_a, state, CFG, log)
     assert isinstance(again, WitnessSignature)  # idempotent re-sign
-    other = sign_witness(secret, wid, req_b, state, CFG, log)
+    other = sign_witness(secret, wid, cand_b, state, CFG, log)
     assert isinstance(other, Refusal)
     assert other.reason is RefusalReason.ALREADY_WITNESSED_HEIGHT
 
@@ -257,22 +270,22 @@ def test_sign_witness_refuses_second_digest_at_height_but_resigns_same():
 def test_sign_witness_refuses_when_better_block_known(monkeypatch):
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
+    candidate = proposal(parties, state)
     secret, wid = parties[1]
-    monkeypatch.setattr(state, "best_score_at", lambda height: block_score(req.block) - 1)
-    out = sign_witness(secret, wid, req, state, CFG, {})
+    monkeypatch.setattr(state, "best_score_at", lambda height: block_score(candidate) - 1)
+    out = sign_witness(secret, wid, candidate, state, CFG, {})
     assert isinstance(out, Refusal) and out.reason is RefusalReason.LOWER_SCORE_EXISTS
 
 
 # -- mint ------------------------------------------------------------------------
 
 
-def endorse(req, state, parties):
+def endorse(candidate, state, parties):
     sigs = []
     for secret, wid in parties:
-        if wid == req.proposer:
+        if wid == candidate.proposer:
             continue
-        out = sign_witness(secret, wid, req, state, CFG, {})
+        out = sign_witness(secret, wid, candidate, state, CFG, {})
         assert isinstance(out, WitnessSignature)
         sigs.append(out)
     return sigs
@@ -281,11 +294,11 @@ def endorse(req, state, parties):
 def test_mint_block_happy_path():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
-    sigs = endorse(req, state, parties[1:3])
-    block = mint_block(req, sigs, CFG, STUB)
+    candidate = proposal(parties, state)
+    sigs = endorse(candidate, state, parties[1:3])
+    block = mint_block(candidate, sigs, CFG, STUB)
     assert block is not None
-    assert block.block_hash == req.block_hash
+    assert block.block_hash == candidate.block_hash
     assert len(block.witness_sigs) == CFG.witness_m
     assert state.apply_block(block).status.name == "ACCEPTED"
 
@@ -293,27 +306,27 @@ def test_mint_block_happy_path():
 def test_mint_block_returns_none_when_short():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
-    sigs = endorse(req, state, parties[1:2])
-    assert mint_block(req, sigs, CFG, STUB) is None
-    assert mint_block(req, [], CFG, STUB) is None
+    candidate = proposal(parties, state)
+    sigs = endorse(candidate, state, parties[1:2])
+    assert mint_block(candidate, sigs, CFG, STUB) is None
+    assert mint_block(candidate, [], CFG, STUB) is None
 
 
 def test_mint_block_drops_bad_signatures():
     parties = keys(6)
     state = fresh_state(parties)
-    req = proposal(parties, state)
-    good = endorse(req, state, parties[1:3])
+    candidate = proposal(parties, state)
+    good = endorse(candidate, state, parties[1:3])
     psecret, _ = parties[0]
     junk = [
-        WitnessSignature(req.proposer, STUB.sign(psecret, witness_message(req.block))),
+        WitnessSignature(candidate.proposer, STUB.sign(psecret, enc_u256(candidate.block_hash))),
         WitnessSignature(parties[3][1], b"garbage"),
         good[0],  # duplicate witness
     ]
-    block = mint_block(req, junk + good, CFG, STUB)
+    block = mint_block(candidate, junk + good, CFG, STUB)
     assert block is not None
     minted_ids = [node for node, _ in block.witness_sigs]
-    assert req.proposer not in minted_ids
+    assert candidate.proposer not in minted_ids
     assert parties[3][1] not in minted_ids
     assert len(minted_ids) == len(set(minted_ids)) == CFG.witness_m
 
@@ -321,14 +334,14 @@ def test_mint_block_drops_bad_signatures():
 def test_mint_block_drops_ineligible_witness():
     parties = keys(6)
     state = fresh_state(parties)
-    req = proposal(parties, state)
-    sigs = endorse(req, state, parties[1:4])
+    candidate = proposal(parties, state)
+    sigs = endorse(candidate, state, parties[1:4])
     _, proposer = parties[0]
     ranked = sorted(sigs, key=lambda ws: distance(proposer, ws.witness))
     # threshold admits only the two closest of the three signers
     threshold = distance(proposer, ranked[2].witness)
     cfg = ChainConfig(witness_threshold=threshold)
-    block = mint_block(req, ranked, cfg, STUB)
+    block = mint_block(candidate, ranked, cfg, STUB)
     assert block is not None
     minted_ids = {node for node, _ in block.witness_sigs}
     assert ranked[2].witness not in minted_ids
@@ -337,8 +350,8 @@ def test_mint_block_drops_ineligible_witness():
 def test_mint_block_appends_the_coinbase_rule_output():
     parties = keys(5)
     state = fresh_state(parties)
-    req = proposal(parties, state)
-    sigs = endorse(req, state, parties[1:3])
+    candidate = proposal(parties, state)
+    sigs = endorse(candidate, state, parties[1:3])
     rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.ACCOUNT)
     calls = []
 
@@ -346,12 +359,14 @@ def test_mint_block_appends_the_coinbase_rule_output():
         calls.append((block, witnesses, system_nonce))
         return rule(block, witnesses, system_nonce)
 
-    block = mint_block(req, sigs, CFG, STUB, coinbase_rule=spy, system_nonce=7)
+    block = mint_block(candidate, sigs, CFG, STUB, coinbase_rule=spy, system_nonce=7)
     assert block is not None
     witnesses = tuple(node for node, _ in block.witness_sigs)
-    assert calls == [(req.block, witnesses, 7)]  # once, with the kept witnesses
-    assert block.transactions == req.block.transactions + rule(req.block, witnesses, 7)
+    assert calls == [(candidate, witnesses, 7)]  # once, with the kept witnesses
+    assert block.transactions == candidate.transactions + rule(candidate, witnesses, 7)
     assert [tx.body.nonce for tx in block.transactions if tx.is_coinbase()] == [7, 8, 9]
-    assert block.block_hash != req.block_hash  # coinbase extends the body
-    assert witness_digest(block) == req.digest  # but not the witnessed digest
-    assert mint_block(req, sigs, CFG, STUB).transactions == req.block.transactions
+    assert block.block_hash != candidate.block_hash  # coinbase extends the body
+    # but the certificate still verifies against the candidate's hash
+    message = enc_u256(candidate.block_hash)
+    assert all(STUB.verify(node, message, sig) for node, sig in block.witness_sigs)
+    assert mint_block(candidate, sigs, CFG, STUB).transactions == candidate.transactions
