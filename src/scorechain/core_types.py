@@ -6,11 +6,13 @@ fixed field order, big-endian fixed-width integers, length-prefixed variable
 parts. See docs/serialization.md for the full record grammar.
 
 All types are immutable after construction and all operations are pure; no
-global mutable state, no wall-clock reads.
+wall-clock reads, and the only global mutable state is the bounded memo of
+loaded Ed25519 key objects, which changes no answer.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -515,12 +517,14 @@ def genesis_block(cfg: ChainConfig) -> Block:
 
 
 class SignatureScheme(ABC):
-    """Pluggable signature primitive; implementations are stateless.
+    """Pluggable signature primitive; an answer depends on the arguments only.
 
-    The one stateful scheme is the simulator's memo wrapper
+    Ed25519Scheme keeps the key objects it loads in a bounded memo of the
+    pure bytes-to-key function, so it answers as the plain primitive does.
+    The one scheme that keeps per-run state is the simulator's memo wrapper
     (simnet._VerifiedMemo): a simulated network is one trust domain whose
     nodes all check the same signed bytes, so it remembers which triples
-    verified. get_scheme returns the plain, stateless instances.
+    verified. get_scheme returns the shared plain instances.
     """
 
     name: str
@@ -561,31 +565,42 @@ class HashStubScheme(SignatureScheme):
         return signature == expected
 
 
+ED25519_KEY_CACHE = 256  # key objects of each kind kept loaded
+
+
+@functools.lru_cache(maxsize=ED25519_KEY_CACHE)
+def _ed25519_private(secret: bytes):
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    return Ed25519PrivateKey.from_private_bytes(secret)
+
+
+@functools.lru_cache(maxsize=ED25519_KEY_CACHE)
+def _ed25519_public(public: bytes):
+    """Raises ValueError on a malformed key; a raise is never cached."""
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+    return Ed25519PublicKey.from_public_bytes(public)
+
+
 class Ed25519Scheme(SignatureScheme):
     """Real asymmetric signatures for library users."""
 
     name = "ed25519"
 
     def keypair(self, seed: bytes) -> tuple[bytes, NodeId]:
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
         secret = hashlib.sha256(b"ed25519-key" + seed).digest()
-        private = Ed25519PrivateKey.from_private_bytes(secret)
-        public = private.public_key().public_bytes_raw()
+        public = _ed25519_private(secret).public_key().public_bytes_raw()
         return secret, NodeId(public)
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-        return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+        return _ed25519_private(secret).sign(message)
 
     def verify(self, public: NodeId, message: bytes, signature: bytes) -> bool:
         from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
         try:
-            key = Ed25519PublicKey.from_public_bytes(public.public_key)
-            key.verify(signature, message)
+            _ed25519_public(public.public_key).verify(signature, message)
             return True
         except (InvalidSignature, ValueError, TypeError):
             return False

@@ -380,6 +380,11 @@ class ApplyResult:
         )
 
 
+# the outcomes that carry nothing of the block, shared by every apply ending in one
+_DUPLICATE = ApplyResult(ApplyStatus.REJECTED, BlockReject.DUPLICATE)
+_ORPHANED = ApplyResult(ApplyStatus.ORPHANED)
+
+
 @dataclass(frozen=True, slots=True)
 class ForkWinMsg:
     """Announcement that the sender switched to a winning branch."""
@@ -499,14 +504,14 @@ class ChainState:
             self._prune_orphans()
         h = block.block_hash
         if h in self.blocks or h in self._orphans:
-            return ApplyResult(ApplyStatus.REJECTED, BlockReject.DUPLICATE)
+            return _DUPLICATE
         if block.height == 0:
             self.stats.rejects += 1
             return ApplyResult(ApplyStatus.REJECTED, BlockReject.BAD_STRUCTURE)
         parent = self.blocks.get(block.parent_hash)
         if parent is None:
             self._buffer_orphan(block)
-            return ApplyResult(ApplyStatus.ORPHANED)
+            return _ORPHANED
         reason = self._full_validate(block, parent)
         if reason is not None:
             self.stats.rejects += 1

@@ -5,6 +5,9 @@ signatures, blocks, fork-win announcements, and pull requests over a lossy
 broadcast network: every send reaches each addressee independently with
 probability r after a sampled latency, measured in logical ticks. One seeded
 generator drives every random draw, so a run is a pure function of its config.
+Events run in tick order, then in the order they were scheduled: each tick
+has one FIFO list, and an event scheduled for the tick being run (a
+zero-delay delivery) joins the end of its list.
 
 Honest nodes follow the ledger and witness rules exactly. Proposal slots are
 staggered round-robin so the common case is a single live proposer, but loss
@@ -17,7 +20,6 @@ refusal, and signing path) and the abstract miss-model for the misled bound.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import random
 from collections import Counter, deque
@@ -305,14 +307,14 @@ class PullReply:
 
 @dataclass(frozen=True, slots=True)
 class SimEvent:
-    """One scheduled occurrence; processed in (at, seq) order."""
+    """One delivered message, recorded in processing order."""
 
     at: int
     kind: str
     detail: str = ""
 
 
-# event kinds (heap discriminators)
+# event kinds
 EV_DELIVER = 0
 EV_INJECT = 1
 EV_PROPOSE = 2
@@ -784,8 +786,9 @@ class Simulator:
         # node and die with the simulator
         self.scheme = _VerifiedMemo(get_scheme(cfg.scheme))
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
-        self._heap: list = []
-        self._seq = 0
+        # tick -> (kind, payload) events in scheduling order
+        self._queue: dict[int, list] = {}
+        self._now = 0
 
         secrets = []
         node_ids = []
@@ -836,8 +839,11 @@ class Simulator:
     # -- scheduling -----------------------------------------------------------
 
     def _push(self, at: int, kind: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, payload))
+        events = self._queue.get(at)
+        if events is None:
+            self._queue[at] = [(kind, payload)]
+        else:
+            events.append((kind, payload))
 
     def send(self, sender: int, target: int, message) -> None:
         """Point-to-point send under the same loss and latency model."""
@@ -857,7 +863,6 @@ class Simulator:
 
     def run(self) -> SimReport:
         cfg = self.cfg
-        self._now = 0
         whole = int(cfg.tx_rate)
         frac = cfg.tx_rate - whole
         for tick in range(cfg.duration):
@@ -867,23 +872,31 @@ class Simulator:
             count = whole + (1 if self.rng.random() < frac else 0)
             for _ in range(count):
                 self._push(tick, EV_INJECT, self.rng.randrange(cfg.n_nodes))
+        queue = self._queue
         processed = 0
-        while self._heap:
-            at, _, kind, payload = heapq.heappop(self._heap)
-            self._now = at
-            processed += 1
-            if processed > 5_000_000:
-                raise RuntimeError("event budget exceeded; runaway cascade")
-            if kind == EV_DELIVER:
-                target, sender, message = payload
-                self._deliver(target, sender, message)
-            elif kind == EV_INJECT:
-                self.nodes[payload].inject_tx()
-            elif kind == EV_PROPOSE:
-                self.nodes[payload].on_propose_slot()
-            elif kind == EV_TIMEOUT:
-                index, block_hash = payload
-                self.nodes[index].on_timeout(block_hash)
+        tick = -1
+        while queue:
+            # every event lands at or after the running tick, so the next
+            # tick is usually tick + 1; otherwise jump to the earliest one
+            tick = tick + 1 if tick + 1 in queue else min(queue)
+            self._now = tick
+            # the list grows while it is drained: a zero-delay delivery
+            # runs after everything already scheduled for this tick
+            for kind, payload in queue[tick]:
+                processed += 1
+                if processed > 5_000_000:
+                    raise RuntimeError("event budget exceeded; runaway cascade")
+                if kind == EV_DELIVER:
+                    target, sender, message = payload
+                    self._deliver(target, sender, message)
+                elif kind == EV_INJECT:
+                    self.nodes[payload].inject_tx()
+                elif kind == EV_PROPOSE:
+                    self.nodes[payload].on_propose_slot()
+                elif kind == EV_TIMEOUT:
+                    index, block_hash = payload
+                    self.nodes[index].on_timeout(block_hash)
+            del queue[tick]
         self._finalize()
         return self.report
 

@@ -2,14 +2,17 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from scorechain import core_types
 from scorechain.core_types import (
     AccountBody,
     Block,
     ChainConfig,
     COINBASE_INDEX,
+    ED25519_KEY_CACHE,
     MAX_HASH,
     NodeId,
     Outpoint,
@@ -301,6 +304,42 @@ def test_ed25519_scheme_sign_verify():
     assert scheme.verify(node, b"msg", sig)
     assert not scheme.verify(node, b"other", sig)
     assert not scheme.verify(node, b"msg", sig[:-1] + bytes([sig[-1] ^ 1]))
+
+
+def test_ed25519_cached_keys_sign_as_freshly_loaded_ones():
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    scheme = get_scheme("ed25519")
+    secret, node = scheme.keypair(b"cache")
+    fresh = Ed25519PrivateKey.from_private_bytes(secret)
+    for msg in (b"first", b"second", b"first"):
+        assert scheme.sign(secret, msg) == fresh.sign(msg)
+    assert node.public_key == fresh.public_key().public_bytes_raw()
+
+
+def test_ed25519_malformed_public_key_fails_every_time():
+    scheme = get_scheme("ed25519")
+    secret, _ = scheme.keypair(b"malformed")
+    sig = scheme.sign(secret, b"msg")
+    cache = core_types._ed25519_public
+    before = cache.cache_info()
+    malformed = SimpleNamespace(public_key=bytes(31))  # NodeId refuses to hold it
+    assert [scheme.verify(malformed, b"msg", sig) for _ in range(2)] == [False, False]
+    after = cache.cache_info()
+    # the load raised both times, so nothing was stored
+    assert after.misses == before.misses + 2
+    assert after.currsize == before.currsize
+
+
+def test_ed25519_key_cache_stays_bounded():
+    scheme = get_scheme("ed25519")
+    for i in range(ED25519_KEY_CACHE + 20):
+        secret, node = scheme.keypair(b"bound" + i.to_bytes(2, "big"))
+        assert scheme.verify(node, b"msg", scheme.sign(secret, b"msg"))
+    for cache in (core_types._ed25519_private, core_types._ed25519_public):
+        info = cache.cache_info()
+        assert info.maxsize == ED25519_KEY_CACHE
+        assert info.currsize == ED25519_KEY_CACHE
 
 
 def test_keypairs_are_seed_deterministic():

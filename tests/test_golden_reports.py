@@ -9,7 +9,11 @@ one a height marker), a long run with many branch switches, a lossy
 one-witness, depth-one chain whose honest nodes are misled
 (``misled_events`` > 0), Ed25519 signatures and a higher transaction rate.
 Between them they set every ``SimConfig`` field but ``seed`` and ``trace``
-away from its default. A pin that moves means
+away from its default. Two more record every delivery in processing order
+(``trace``), so they pin the event order within a tick: one with zero-delay
+deliveries, which join the tick being run, and one lossy with a fixed
+latency, where every delivery of a tick was scheduled in the same earlier
+tick. A pin that moves means
 the simulated behaviour changed; that is either a bug to fix or a deliberate
 change (such as a new RNG draw order) to record in CHANGES.md with the pins
 recomputed.
@@ -65,6 +69,10 @@ CONFIGS = {
     ),
     "ed25519": replace(BASE, scheme="ed25519", n_nodes=10, duration=100),
     "tx_rate": replace(BASE, tx_rate=3.0),
+    "trace_zero_delay": replace(BASE, trace=True, latency=LatencySpec(0, 2)),
+    "trace_fixed_latency_lossy": replace(
+        BASE, trace=True, latency=LatencySpec(3, 3), delivery_ratio=0.6
+    ),
 }
 
 PINS = {
@@ -92,6 +100,10 @@ PINS = {
     ("ed25519", 2): "16a4b6d4597553d6db021e83270dbee5f44cc69a8c7b74b9eeee00bef49f6442",
     ("tx_rate", 1): "e289f92dfb8fc8c974ee25d1a8f6b517218655c47bf235fdbea4f5fb885f66f2",
     ("tx_rate", 2): "827e14f2899d265aa0b657d66adc32259c18eea85e639a56bc3139c5cff38899",
+    ("trace_zero_delay", 1): "edd476e7b24fab13ca3428ef2e132d22ec426251a68f75b91be54588a6b8b1ec",
+    ("trace_zero_delay", 2): "50fb4ff73065af19809de54c6d8a574b4ed23ee3d6b6e1d4130e6576bea3f2b2",
+    ("trace_fixed_latency_lossy", 1): "50b48a7dddd25b30dcb7e67a87c3c7566686fe7ada165e75b8a49934f8539e58",
+    ("trace_fixed_latency_lossy", 2): "f13569d93e5e2bff9884d9fbdf21dc5559626d81139058a7aab07849c95361b7",
 }
 
 

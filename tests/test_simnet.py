@@ -1,6 +1,7 @@
 """Event-driven network simulation: config, determinism, attacks, Monte Carlo."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -178,6 +179,33 @@ def test_trace_records_deliveries():
     assert report.trace
     kinds = {ev.kind for ev in report.trace}
     assert "TxGossip" in kinds
+
+
+def test_every_delivery_went_through_send(monkeypatch):
+    # the per-layer benchmark counts messages by wrapping Simulator.send;
+    # without loss each of them must reach the event loop exactly once
+    sent = Counter()
+    send = Simulator.send
+
+    def counted(self, sender, target, message):
+        sent[type(message).__name__] += 1
+        return send(self, sender, target, message)
+
+    monkeypatch.setattr(Simulator, "send", counted)
+    cfg = replace(
+        SMALL,
+        n_nodes=12,
+        duration=90,
+        delivery_ratio=1.0,
+        latency=LatencySpec(0, 6),
+        adversary_fraction=0.25,
+        adversary_strategy=Strategy.EQUIVOCATE,
+        trace=True,
+        seed=3,
+    )
+    delivered = Counter(event.kind for event in run_simulation(cfg).trace)
+    assert len(delivered) == 7  # every message type, pulls and fork wins too
+    assert sent == delivered
 
 
 # -- healthy runs ------------------------------------------------------------------------
