@@ -10,7 +10,7 @@ adversarial, giving q^m at adversarial fraction q.
 
 Everything here works in log10 space (the interesting values sit far below
 double-precision underflow in linear space) and is pure: the Monte Carlo
-counterparts live in simnet, and the comparison helper defers to them.
+counterparts live in simnet.
 """
 
 from __future__ import annotations
@@ -57,11 +57,7 @@ def pr_invalid_witnessed(q: float, m: int) -> float:
         raise ValueError("q must be in [0, 1]")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    return math.exp(m * math.log(q))
+    return q**m
 
 
 def log10_pr_misled(p: SafetyParams) -> float:
@@ -219,7 +215,7 @@ def write_chain_scale_csv(rows: list[ChainScaleRow], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# statistics helpers and the analytic-vs-empirical bridge
+# statistics helpers
 # ---------------------------------------------------------------------------
 
 
@@ -235,37 +231,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = p_hat + z2 / (2.0 * trials)
     spread = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     return (max(0.0, (center - spread) / denom), min(1.0, (center + spread) / denom))
-
-
-@dataclass(frozen=True, slots=True)
-class Comparison:
-    """Analytic probability against a Monte Carlo estimate of the same event."""
-
-    analytic: float
-    empirical: "float | None"
-    trials: int
-    z_score: "float | None"
-    measurable: bool
-
-    def agrees(self, z_limit: float = 3.0) -> bool:
-        return self.measurable and self.z_score is not None and abs(self.z_score) <= z_limit
-
-
-def compare_analytic_empirical(
-    p: SafetyParams, trials: int, seed: int = 0
-) -> Comparison:
-    """Run the miss-model Monte Carlo and score it against the formula.
-
-    Regimes where fewer than ~100 events are expected in `trials` draws are
-    reported as not measurable instead of pretending the estimate means
-    something.
-    """
-    analytic = pr_misled(p)
-    if analytic * trials < 100.0:
-        return Comparison(analytic, None, trials, None, measurable=False)
-    from . import simnet  # deferred: simnet needs this module's formulas
-
-    result = simnet.run_miss_model(p, trials, seed=seed)
-    sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
-    z = (result.frequency - analytic) / sigma if sigma > 0 else 0.0
-    return Comparison(analytic, result.frequency, trials, z, measurable=True)

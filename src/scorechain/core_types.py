@@ -17,7 +17,7 @@ import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 # ---------------------------------------------------------------------------
 # constants
@@ -357,14 +357,15 @@ def block_core_bytes(
     digest, so a proposal keeps its identity while signatures accumulate.
     """
     parts = [
-        enc_u8(FORMAT_TAG),
-        enc_u8(REC_BLOCK),
+        bytes((FORMAT_TAG, REC_BLOCK)),
         enc_u256(parent_hash),
         enc_u64(height),
         proposer.public_key,
         enc_u32(len(transactions)),
     ]
-    parts += [enc_bytes(tx.canonical_bytes) for tx in transactions]
+    for tx in transactions:
+        record = tx.canonical_bytes
+        parts += (len(record).to_bytes(4, "big"), record)  # enc_bytes, inlined
     return b"".join(parts)
 
 
@@ -399,11 +400,6 @@ class Block:
         object.__setattr__(self, "block_hash", hash256(core))
         object.__setattr__(self, "score_cache", None)
 
-    def with_witnesses(self, sigs: Iterable[tuple[NodeId, bytes]]) -> "Block":
-        return Block(
-            self.parent_hash, self.height, self.proposer, self.transactions, tuple(sigs)
-        )
-
     def user_transactions(self) -> tuple[Transaction, ...]:
         return tuple(tx for tx in self.transactions if not tx.is_coinbase())
 
@@ -416,6 +412,15 @@ class Block:
 
     def __hash__(self) -> int:
         return self.block_hash & 0xFFFFFFFFFFFFFFFF
+
+
+def certify(candidate: Block, witness_sigs: Sequence[tuple[NodeId, bytes]]) -> Block:
+    """The candidate plus a certificate, reusing its core bytes, hash and score."""
+    block = object.__new__(Block)
+    for name in Block.__slots__:
+        object.__setattr__(block, name, getattr(candidate, name))
+    object.__setattr__(block, "witness_sigs", tuple(witness_sigs))
+    return block
 
 
 def serialize_block(block: Block) -> bytes:
@@ -448,15 +453,6 @@ def deserialize_block(data: bytes) -> Block:
     if not reader.done():
         raise SerializationError("trailing bytes after block")
     return Block(parent_hash, height, proposer, tuple(txs), tuple(sigs))
-
-
-def canonical_serialize(value: "Transaction | Block") -> bytes:
-    """Canonical bytes of a transaction or a block (witnesses included)."""
-    if isinstance(value, Transaction):
-        return value.canonical_bytes
-    if isinstance(value, Block):
-        return serialize_block(value)
-    raise SerializationError(f"cannot serialize {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

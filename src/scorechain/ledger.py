@@ -21,7 +21,6 @@ bookkeeping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -36,7 +35,7 @@ from .core_types import (
     Outpoint,
     SerializationError,
     SignatureScheme,
-    SYSTEM_ID,
+    SYSTEM_KEY,
     Transaction,
     TxOutput,
     UtxoBody,
@@ -83,11 +82,12 @@ class TxReject(Enum):
 # Head-state verdicts after which a mempool transaction can never become
 # valid again (absent a deep reorg): its nonce is used, or an input is spent
 # or never existed (the live state cannot tell the two apart), or it repeats
-# an input. The rest never depend on the state at all: a signature over
-# fixed bytes, an empty side, and an existing outpoint's owner and amount
-# (an outpoint is named by the tx_id that created it) cannot change.
+# an input. The rest never depend on the state at all: a system transaction,
+# a signature over fixed bytes, an empty side, and an existing outpoint's
+# owner and amount (an outpoint is named by the tx_id that created it).
 DEAD_TX = frozenset(
     {
+        TxReject.BAD_COINBASE,
         TxReject.NONCE_REUSE,
         TxReject.DOUBLE_SPEND,
         TxReject.UNKNOWN_INPUT,
@@ -138,8 +138,9 @@ class TxIndices:
     each collapse: a small state collapses every few blocks of fresh keys, a
     large one keeps per-block memory at the size of the overlay.
 
-    balances, nonces and utxos are merged read-only copies for tests
-    and reports; the validation and application paths use point lookups.
+    Accounts are keyed by public key bytes, which hash in C (a NodeId's hash
+    is a Python call). The balances, nonces and utxos properties are merged
+    read-only copies, keyed by NodeId, for tests and reports.
 
     issued counts all value ever created (initial allocation plus coinbase);
     burned counts UTXO input value not re-emitted as outputs. Conservation:
@@ -161,12 +162,12 @@ class TxIndices:
         issued: int = 0,
         burned: int = 0,
     ) -> None:
-        """The given maps become the base and must not be written afterwards."""
-        self._balances_base = balances if balances is not None else {}
-        self._nonces_base = nonces if nonces is not None else {}
+        """The given maps form the base; utxos must not be written afterwards."""
+        self._balances_base = {n.public_key: v for n, v in (balances or {}).items()}
+        self._nonces_base = {n.public_key: v for n, v in (nonces or {}).items()}
         self._utxos_base = utxos if utxos is not None else {}
-        self._balances: dict[NodeId, int] = {}
-        self._nonces: dict[NodeId, int] = {}
+        self._balances: dict[bytes, int] = {}
+        self._nonces: dict[bytes, int] = {}
         self._utxos: "dict[Outpoint, TxOutput | None]" = {}
         self.issued = issued
         self.burned = burned
@@ -200,24 +201,32 @@ class TxIndices:
 
     @property
     def balances(self) -> Mapping[NodeId, int]:
-        return MappingProxyType(_merged(self._balances_base, self._balances))
+        merged = _merged(self._balances_base, self._balances)
+        return MappingProxyType({NodeId(key): value for key, value in merged.items()})
 
     @property
     def nonces(self) -> Mapping[NodeId, int]:
-        return MappingProxyType(_merged(self._nonces_base, self._nonces))
+        merged = _merged(self._nonces_base, self._nonces)
+        return MappingProxyType({NodeId(key): value for key, value in merged.items()})
 
     @property
     def utxos(self) -> Mapping[Outpoint, TxOutput]:
         return MappingProxyType(_merged(self._utxos_base, self._utxos))
 
+    def _content(self) -> tuple:
+        return (
+            _merged(self._balances_base, self._balances),
+            _merged(self._nonces_base, self._nonces),
+            _merged(self._utxos_base, self._utxos),
+            self.issued,
+            self.burned,
+        )
+
     def __eq__(self, other: object) -> bool:
         """Equal content, however each side splits it between base and overlay."""
         if not isinstance(other, TxIndices):
             return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in ("balances", "nonces", "utxos", "issued", "burned")
-        )
+        return self._content() == other._content()
 
     # -- validation ---------------------------------------------------------
 
@@ -231,7 +240,7 @@ class TxIndices:
             return TxReject.BAD_COINBASE
         body = tx.body
         if isinstance(body, AccountBody):
-            sender = tx.sender
+            sender = tx.sender.public_key
             expected = self._nonces.get(sender)
             if expected is None:
                 expected = self._nonces_base.get(sender, 0)
@@ -284,18 +293,19 @@ class TxIndices:
         coinbase = tx.is_coinbase()
         if isinstance(body, AccountBody):
             balances = self._balances
-            self._nonces[tx.sender] = body.nonce + 1
+            sender, recipient = tx.sender.public_key, body.recipient.public_key
+            self._nonces[sender] = body.nonce + 1
             if coinbase:
                 self.issued += body.amount
             else:
-                held = balances.get(tx.sender)
+                held = balances.get(sender)
                 if held is None:
-                    held = self._balances_base.get(tx.sender, 0)
-                balances[tx.sender] = held - body.amount
-            held = balances.get(body.recipient)
+                    held = self._balances_base.get(sender, 0)
+                balances[sender] = held - body.amount
+            held = balances.get(recipient)
             if held is None:
-                held = self._balances_base.get(body.recipient, 0)
-            balances[body.recipient] = held + body.amount
+                held = self._balances_base.get(recipient, 0)
+            balances[recipient] = held + body.amount
             return
         utxos = self._utxos
         in_sum = 0
@@ -319,9 +329,8 @@ class TxIndices:
 
 def total_value(indices: TxIndices) -> int:
     """All value currently held in accounts and unspent outputs."""
-    return sum(indices.balances.values()) + sum(
-        out.amount for out in indices.utxos.values()
-    )
+    balances, _, utxos, _, _ = indices._content()
+    return sum(balances.values()) + sum(out.amount for out in utxos.values())
 
 
 def fund_accounts(alloc: Mapping[NodeId, int]) -> TxIndices:
@@ -383,6 +392,7 @@ class ApplyResult:
 # the outcomes that carry nothing of the block, shared by every apply ending in one
 _DUPLICATE = ApplyResult(ApplyStatus.REJECTED, BlockReject.DUPLICATE)
 _ORPHANED = ApplyResult(ApplyStatus.ORPHANED)
+_BY_STATUS = {status: ApplyResult(status) for status in ApplyStatus}
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,15 +479,11 @@ class ChainState:
 
     def system_nonce_at(self, block_hash: int) -> int:
         indices = self.snapshots[block_hash]
-        nonce = indices._nonces.get(SYSTEM_ID)
-        return indices._nonces_base.get(SYSTEM_ID, 0) if nonce is None else nonce
+        nonce = indices._nonces.get(SYSTEM_KEY)
+        return indices._nonces_base.get(SYSTEM_KEY, 0) if nonce is None else nonce
 
     def has_block(self, block_hash: int) -> bool:
         return block_hash in self.blocks
-
-    def on_main_chain(self, block_hash: int) -> bool:
-        block = self.blocks.get(block_hash)
-        return block is not None and self.main_by_height.get(block.height) == block_hash
 
     def best_score_at(self, height: int) -> "int | None":
         """Lowest known block score at a height, over every stored branch."""
@@ -519,7 +525,7 @@ class ChainState:
         self._insert(block)
         status = self._reselect(block)
         self._drain_orphans(h)
-        return ApplyResult(status)
+        return _BY_STATUS[status]
 
     def _insert(self, block: Block) -> None:
         h = block.block_hash
@@ -549,20 +555,22 @@ class ChainState:
         """
         txs = block.transactions
         cut = next((i for i, tx in enumerate(txs) if tx.is_coinbase()), len(txs))
-        if not all(tx.is_coinbase() for tx in txs[cut:]):
-            return BlockReject.BAD_COINBASE
         candidate = block
         if cut < len(txs):
+            if not all(tx.is_coinbase() for tx in txs[cut:]):
+                return BlockReject.BAD_COINBASE
             candidate = Block(block.parent_hash, block.height, block.proposer, txs[:cut])
-        reason = self._check_structure(candidate, parent)
-        if reason is not None:
-            return reason
+        # a candidate a witness found valid has passed the structure checks
+        if self.verdicts.get((candidate.block_hash, None)) is not True:
+            reason = self._check_structure(candidate, parent)
+            if reason is not None:
+                return reason
 
         sigs = block.witness_sigs
         if len(sigs) < self.cfg.witness_m:
             return BlockReject.BAD_WITNESS
-        witnesses = tuple(node for node, _ in sigs)
-        if len(set(witnesses)) != len(witnesses) or block.proposer in witnesses:
+        keys = {node.public_key for node, _ in sigs}  # bytes hash faster than NodeIds
+        if len(keys) != len(sigs) or block.proposer.public_key in keys:
             return BlockReject.BAD_WITNESS
         message = enc_u256(candidate.block_hash)
         for node, sig in sigs:
@@ -579,6 +587,7 @@ class ChainState:
         expected: tuple[Transaction, ...] = ()
         if self.coinbase_rule is not None:
             system_nonce = self.system_nonce_at(parent.block_hash)
+            witnesses = tuple(node for node, _ in sigs)
             expected = self.coinbase_rule(candidate, witnesses, system_nonce)
         if txs[cut:] != expected:
             return BlockReject.BAD_COINBASE
@@ -591,7 +600,7 @@ class ChainState:
 
     def _check_structure(self, block: Block, parent: Block) -> "BlockReject | None":
         """A candidate's checks before any transaction runs."""
-        if block.height != parent.height + 1 or block.proposer == SYSTEM_ID:
+        if block.height != parent.height + 1 or block.proposer.public_key == SYSTEM_KEY:
             return BlockReject.BAD_STRUCTURE
         txs = block.transactions
         if len({tx.tx_id for tx in txs}) != len(txs):
@@ -779,6 +788,12 @@ class ChainState:
         genesis_indices: "TxIndices | None" = None,
         **kwargs,
     ) -> "ChainState":
+        """Rebuild a state from a `dump_chain` file, applying every block again.
+
+        The file must start at this ledger's genesis. Malformed bytes and
+        blocks the ledger rejects raise only SerializationError. `kwargs`
+        (such as `coinbase_rule`) go to the constructor.
+        """
         with open(path, "rb") as fh:
             data = fh.read()
         if len(data) < 6 or data[0] != FORMAT_TAG or data[1] != REC_CHAIN_FILE:
@@ -806,22 +821,6 @@ class ChainState:
                     f"{result.reason.value if result.reason else result.status.value}"
                 )
         return state
-
-    def main_chain_json(self) -> str:
-        rows = []
-        for block in self.main_chain():
-            rows.append(
-                {
-                    "height": block.height,
-                    "hash": f"{block.block_hash:064x}",
-                    "parent": f"{block.parent_hash:064x}",
-                    "proposer": block.proposer.hex(),
-                    "tx_count": len(block.transactions),
-                    "witnesses": len(block.witness_sigs),
-                    "score": f"{block_score(block):064x}" if block.transactions else None,
-                }
-            )
-        return json.dumps(rows, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,7 @@ practice) fall back to the block hash, giving a strict total order.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .core_types import Block, enc_bytes, hash256, tx_inputs_bytes, tx_outputs_bytes
-
-
-class BlockWinner(Enum):
-    A_WINS = "a_wins"
-    B_WINS = "b_wins"
 
 
 def score_preimage(block: Block) -> bytes:
@@ -44,18 +37,6 @@ def block_score(block: Block) -> int:
     return value
 
 
-def compare_blocks(a: Block, b: Block) -> BlockWinner:
-    """Strict winner among two distinct blocks at the same height."""
-    if a.height != b.height:
-        raise ValueError("blocks at different heights do not compete")
-    sa, sb = block_score(a), block_score(b)
-    if sa != sb:
-        return BlockWinner.A_WINS if sa < sb else BlockWinner.B_WINS
-    if a.block_hash == b.block_hash:
-        raise ValueError("compare_blocks needs two distinct blocks")
-    return BlockWinner.A_WINS if a.block_hash < b.block_hash else BlockWinner.B_WINS
-
-
 def sort_key(block: Block) -> tuple[int, int]:
-    """(score, hash) key realizing the same total order as compare_blocks."""
+    """(score, hash) sort key: lower score first, the lower block hash on a score tie."""
     return (block_score(block), block.block_hash)

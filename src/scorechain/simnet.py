@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import SafetyParams, misled_exponent, wilson_interval
+from .analysis import SafetyParams, misled_exponent, pr_invalid_witnessed, wilson_interval
 from .core_types import (
     AccountBody,
     Block,
@@ -1137,6 +1137,7 @@ def witness_corruption_trials(
         raise ValueError("attempts must be >= 1")
     if m < 1 or m >= n_keys - 1:
         raise ValueError("need 1 <= m < n_keys - 1")
+    analytic = pr_invalid_witnessed(q, m)
     rng = random.Random(seed)
     scheme = get_scheme("stub")
     keys = [scheme.keypair(b"corruption" + enc_u64(i)) for i in range(n_keys)]
@@ -1181,7 +1182,7 @@ def witness_corruption_trials(
         witnessed=witnessed,
         attempts=attempts,
         adversarial_slot_rate=adversarial_slots / (attempts * m),
-        analytic=q**m,
+        analytic=analytic,
         m=m,
         q=q,
         n_keys=n_keys,

@@ -26,6 +26,7 @@ from .core_types import (
     NodeId,
     SignatureScheme,
     Transaction,
+    certify,
     enc_u256,
 )
 from .incentive import CoinbaseRule
@@ -46,7 +47,7 @@ def is_eligible_witness(proposer: NodeId, candidate: NodeId, cfg: ChainConfig) -
     A node never witnesses its own proposal; asking about the proposer
     itself is a caller bug, not a quiet False.
     """
-    if candidate == proposer:
+    if candidate.public_key == proposer.public_key:
         raise ValueError("a proposer cannot witness its own block")
     return distance(proposer, candidate) < cfg.witness_threshold
 
@@ -97,21 +98,19 @@ def propose_block(
     instead of running the transactions again.
 
     When dead is given, the same pass appends the ids of the transactions it
-    saw that can never validate again (system transactions and ledger.DEAD_TX
-    verdicts: a used nonce or input, a bad signature, or inputs whose fixed
-    owner or amounts refuse the spend), so the caller can drop them from its
-    mempool. Not-yet-valid ones (future nonce, missing funds) are kept.
+    saw that can never validate again (the ledger.DEAD_TX verdicts: a system
+    transaction, a used nonce or input, a bad signature, or inputs whose
+    fixed owner or amounts refuse the spend), so the caller can drop them
+    from its mempool. Not-yet-valid ones (future nonce, missing funds) are
+    kept.
     """
-    from .ledger import DEAD_TX  # ledger imports this module
+    if dead is not None:
+        from .ledger import DEAD_TX  # ledger imports this module
 
     indices = state.head_indices().clone()
     cap = max_txs if max_txs is not None else max(cfg.tx_count_min, MAX_BLOCK_TXS)
     selected: list[Transaction] = []
     for tx in mempool:
-        if tx.is_coinbase():
-            if dead is not None:
-                dead.append(tx.tx_id)
-            continue
         verdict = indices.validate_tx(tx, state.scheme)
         if verdict is None:
             indices.apply_tx(tx)
@@ -123,12 +122,7 @@ def propose_block(
     if len(selected) < cfg.tx_count_min:
         return None
     head = state.head
-    candidate = Block(
-        parent_hash=head.block_hash,
-        height=head.height + 1,
-        proposer=proposer,
-        transactions=tuple(selected),
-    )
+    candidate = Block(head.block_hash, head.height + 1, proposer, tuple(selected))
     state.snapshots.setdefault(candidate.block_hash, indices)
     return candidate
 
@@ -150,7 +144,7 @@ def sign_witness(
     identical candidate is idempotent.
     """
     proposer, height = candidate.proposer, candidate.height
-    if node == proposer or not is_eligible_witness(proposer, node, cfg):
+    if node.public_key == proposer.public_key or not is_eligible_witness(proposer, node, cfg):
         return Refusal(RefusalReason.INELIGIBLE)
     prior = log.get(height)
     if prior is not None and prior != candidate.block_hash:
@@ -184,29 +178,27 @@ def mint_block(
     """
     message = enc_u256(candidate.block_hash)
     proposer = candidate.proposer
-    seen: set[NodeId] = set()
-    kept: list[WitnessSignature] = []
+    # public keys, not NodeIds: bytes compare and hash without a Python call
+    seen = {proposer.public_key}
+    certificate: list[tuple[NodeId, bytes]] = []
     for ws in sigs:
-        if ws.witness == proposer or ws.witness in seen:
+        if ws.witness.public_key in seen:
             continue
         if not is_eligible_witness(proposer, ws.witness, cfg):
             continue
         if not scheme.verify(ws.witness, message, ws.signature):
             continue
-        seen.add(ws.witness)
-        kept.append(ws)
-        if len(kept) == cfg.witness_m:
+        seen.add(ws.witness.public_key)
+        certificate.append((ws.witness, ws.signature))
+        if len(certificate) == cfg.witness_m:
             break
-    if len(kept) < cfg.witness_m:
+    if len(certificate) < cfg.witness_m:
         return None
     coinbase: tuple[Transaction, ...] = ()
     if coinbase_rule is not None:
-        witnesses = tuple(ws.witness for ws in kept)
+        witnesses = tuple(node for node, _ in certificate)
         coinbase = coinbase_rule(candidate, witnesses, system_nonce)
-    return Block(
-        parent_hash=candidate.parent_hash,
-        height=candidate.height,
-        proposer=proposer,
-        transactions=candidate.transactions + coinbase,
-        witness_sigs=tuple((ws.witness, ws.signature) for ws in kept),
-    )
+    if not coinbase:
+        return certify(candidate, certificate)
+    transactions = candidate.transactions + coinbase
+    return Block(candidate.parent_hash, candidate.height, proposer, transactions, certificate)

@@ -73,7 +73,7 @@ def minted(parent_hash, height, txs, parties, proposer_idx=0):
         sigs.append((nid, STUB.sign(secret, message)))
         if len(sigs) == CFG.witness_m:
             break
-    return bare.with_witnesses(sigs)
+    return replace(bare, witness_sigs=tuple(sigs))
 
 
 # -- criteria 1-3: closed-form ----------------------------------------------------

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from scorechain.analysis import (
-    Comparison,
     DEFAULT_M_VALUES,
     DEFAULT_R_VALUES,
     HEADLINE_PARAMS,
@@ -13,7 +12,6 @@ from scorechain.analysis import (
     SafetyParams,
     chain_scale_bounds_ok,
     chain_scale_rows,
-    compare_analytic_empirical,
     log10_pr_misled,
     misled_exponent,
     misled_grid,
@@ -58,8 +56,9 @@ def test_invalid_witnessed_is_q_to_the_m():
     assert pr_invalid_witnessed(1.0, 3) == 1.0
     assert pr_invalid_witnessed(0.5, 3) == pytest.approx(0.125, abs=1e-15)
     assert pr_invalid_witnessed(0.3, 2) == pytest.approx(0.09, abs=1e-12)
-    with pytest.raises(ValueError):
-        pr_invalid_witnessed(1.5, 2)
+    for q in (1.5, -0.5):
+        with pytest.raises(ValueError):
+            pr_invalid_witnessed(q, 2)
     with pytest.raises(ValueError):
         pr_invalid_witnessed(0.5, 0)
 
@@ -190,25 +189,3 @@ def test_wilson_interval_edges():
         wilson_interval(1, 0)
     with pytest.raises(ValueError):
         wilson_interval(5, 4)
-
-
-def test_comparison_measurable_path():
-    p = SafetyParams(m=1, n_c=1, l=0, r=0.2)
-    cmp = compare_analytic_empirical(p, trials=200_000, seed=11)
-    assert cmp.measurable
-    assert cmp.empirical is not None
-    assert cmp.agrees()  # fixed seed: a stable draw well inside 3 sigma
-
-
-def test_comparison_refuses_unmeasurable_regime():
-    cmp = compare_analytic_empirical(HEADLINE_PARAMS, trials=1_000)
-    assert not cmp.measurable
-    assert cmp.empirical is None
-    assert cmp.z_score is None
-    assert not cmp.agrees()
-
-
-def test_comparison_agrees_is_a_z_test():
-    assert Comparison(0.1, 0.1, 100, 2.9, True).agrees()
-    assert not Comparison(0.1, 0.1, 100, 3.1, True).agrees()
-    assert not Comparison(0.1, None, 100, None, False).agrees()

@@ -1,21 +1,32 @@
 """Source hygiene: every import in the package modules is used, every
 private function, method or class is named somewhere besides its definition,
-and every enum member is named as ``Class.MEMBER`` somewhere in the package.
+every public one is named by the package, the benchmark or the README's
+library examples, and every enum member is named as ``Class.MEMBER``
+somewhere in the package.
 
-Stdlib only. ``__init__.py`` is skipped by the import check, since its
-imports are re-exports. A name counts as used when it is loaded anywhere in
-the module, including inside a string annotation such as
-``"TxIndices | None"``. A private definition (one ``_`` prefix, not a dunder)
-counts as used when any package module loads it as a name or an attribute.
+Stdlib only. A name counts as used when it is loaded anywhere in the module,
+including inside a string annotation such as ``"TxIndices | None"``. A
+private definition (one ``_`` prefix, not a dunder) counts as used when any
+package module loads it as a name or an attribute. A public definition (a
+module-level function or class, or a method of one) counts as used when a
+package module or a non-test ``perfbench`` module loads it, or when a
+``python`` block of README "Library use" names it; those blocks must run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scorechain"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "scorechain"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCHMARK = sorted(
+    p
+    for p in (ROOT / "perfbench").glob("*.py")
+    if not p.name.startswith("test_") and p.name != "conftest.py"
+)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,6 +74,26 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     }
 
 
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public module-level function or class, and each public method of
+    a module-level class, with its line."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update(public_definitions(node))
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            found[node.name] = node.lineno
+    return found
+
+
+def readme_library_examples() -> list[str]:
+    """The fenced python blocks of README "Library use"."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+
+
 def enum_members(tree: ast.Module) -> dict[tuple[str, str], int]:
     """Each (class, member) of a class deriving directly from Enum, with its line."""
     members: dict[tuple[str, str], int] = {}
@@ -90,6 +121,19 @@ def member_references(tree: ast.Module) -> set[tuple[str, str]]:
 def referenced_names(tree: ast.Module) -> set[str]:
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return used_names(tree) | attributes
+
+
+def unused_public_definitions(
+    defining: dict[str, ast.Module], users: list[ast.Module]
+) -> list[str]:
+    """Each public definition in `defining` that no tree in `users` names."""
+    referenced = set().union(*(referenced_names(tree) for tree in users))
+    return sorted(
+        f"{name}:{line} {defined}"
+        for name, tree in defining.items()
+        for defined, line in public_definitions(tree).items()
+        if defined not in referenced
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -177,3 +221,57 @@ def test_checker_sees_enum_members_and_their_references():
     )
     assert sorted(enum_members(tree)) == [("Colour", "GREEN"), ("Colour", "RED")]
     assert sorted(set(enum_members(tree)) - member_references(tree)) == [("Colour", "GREEN")]
+
+
+def test_every_public_definition_is_used():
+    defining = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    users = [
+        ast.parse(p.read_text(), filename=str(p))
+        for p in sorted(PACKAGE.glob("*.py")) + BENCHMARK
+    ]
+    users += [ast.parse(example) for example in readme_library_examples()]
+    unused = unused_public_definitions(defining, users)
+    assert not unused, "public definitions named nowhere: " + ", ".join(unused)
+
+
+def test_checker_sees_public_definitions_and_their_users():
+    tree = ast.parse(
+        "class Shape:\n"
+        "    def area(self) -> float:\n"
+        "        return self._side()\n"
+        "    def _side(self) -> float:\n"
+        "        return 1.0\n"
+        "    def __repr__(self) -> str:\n"
+        "        return 'Shape'\n"
+        "    def perimeter(self) -> float:\n"
+        "        def inner() -> None:\n"
+        "            pass\n"
+        "def make() -> 'Shape':\n"
+        "    return Shape()\n"
+        "def orphan() -> None:\n"
+        "    pass\n"
+        "def documented() -> None:\n"
+        "    pass\n"
+    )
+    assert sorted(public_definitions(tree)) == [
+        "Shape",
+        "area",
+        "documented",
+        "make",
+        "orphan",
+        "perimeter",
+    ]
+    caller = ast.parse("print(make().area())\n")
+    example = ast.parse("from shapes import documented\ndocumented()\n")
+    assert unused_public_definitions({"shapes.py": tree}, [tree, caller, example]) == [
+        "shapes.py:13 orphan",
+        "shapes.py:8 perimeter",
+    ]
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    examples = readme_library_examples()
+    assert len(examples) >= 3
+    monkeypatch.chdir(tmp_path)
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})

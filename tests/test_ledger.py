@@ -1,8 +1,8 @@
 """Ledger behavior: transaction verdicts, block admission, forks, persistence."""
 
-import json
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -76,7 +76,7 @@ def minted(parent_hash, height, txs, parties, proposer_idx=0, m=None):
         sigs.append((nid, STUB.sign(secret, message)))
         if len(sigs) == (m if m is not None else CFG.witness_m):
             break
-    return bare.with_witnesses(sigs)
+    return replace(bare, witness_sigs=tuple(sigs))
 
 
 def grant_op(nid, slot=0):
@@ -209,7 +209,7 @@ def test_apply_block_accepts_and_advances_head():
     assert result.stored
     assert state.head is block
     assert state.height == 1
-    assert state.on_main_chain(block.block_hash)
+    assert state.main_by_height[block.height] == block.block_hash
     assert state.stats.applies == 1
 
 
@@ -235,9 +235,7 @@ def test_apply_block_structural_rejects():
     repeated = minted(g, 1, [txs[0], txs[0], txs[1], txs[2]], parties)
     assert state.apply_block(repeated).reason is BlockReject.BAD_STRUCTURE
 
-    system_proposed = Block(g, 1, SYSTEM_ID, tuple(txs)).with_witnesses(
-        minted(g, 1, txs, parties).witness_sigs
-    )
+    system_proposed = replace(minted(g, 1, txs, parties), proposer=SYSTEM_ID)
     assert state.apply_block(system_proposed).reason is BlockReject.BAD_STRUCTURE
 
     thin = minted(g, 1, txs[:3], parties)
@@ -252,19 +250,19 @@ def test_apply_block_witness_rejects():
     txs = payments(parties, 4)
     good = minted(g, 1, txs, parties)
 
-    short = good.with_witnesses(good.witness_sigs[:1])
+    short = replace(good, witness_sigs=good.witness_sigs[:1])
     assert state.apply_block(short).reason is BlockReject.BAD_WITNESS
 
-    doubled = good.with_witnesses((good.witness_sigs[0], good.witness_sigs[0]))
+    doubled = replace(good, witness_sigs=(good.witness_sigs[0], good.witness_sigs[0]))
     assert state.apply_block(doubled).reason is BlockReject.BAD_WITNESS
 
     secret0, proposer = parties[0]
     self_sig = (proposer, STUB.sign(secret0, enc_u256(good.block_hash)))
-    selfish = good.with_witnesses((good.witness_sigs[0], self_sig))
+    selfish = replace(good, witness_sigs=(good.witness_sigs[0], self_sig))
     assert state.apply_block(selfish).reason is BlockReject.BAD_WITNESS
 
     node, sig = good.witness_sigs[1]
-    garbled = good.with_witnesses((good.witness_sigs[0], (node, sig[:-1] + b"\0")))
+    garbled = replace(good, witness_sigs=(good.witness_sigs[0], (node, sig[:-1] + b"\0")))
     assert state.apply_block(garbled).reason is BlockReject.BAD_WITNESS
 
 
@@ -298,10 +296,7 @@ def test_apply_block_rejects_invalid_transaction():
 
 def with_coinbase(block, coinbase):
     """block with coinbase appended; its witness certificate stays valid."""
-    txs = block.transactions + tuple(coinbase)
-    return Block(block.parent_hash, block.height, block.proposer, txs).with_witnesses(
-        block.witness_sigs
-    )
+    return replace(block, transactions=block.transactions + tuple(coinbase))
 
 
 def assert_bad_coinbase_changes_nothing(state, block):
@@ -697,19 +692,6 @@ def test_load_rejects_garbage_and_foreign_genesis(tmp_path):
     open(path, "wb").write(data[:-3])
     with pytest.raises(SerializationError):
         ChainState.load_chain(CFG, STUB, path)
-
-
-def test_main_chain_json_layout():
-    parties = keys(6)
-    state = fresh_state(parties)
-    block = minted(state.genesis.block_hash, 1, payments(parties, 4), parties)
-    state.apply_block(block)
-    rows = json.loads(state.main_chain_json())
-    assert [row["height"] for row in rows] == [0, 1]
-    assert rows[0]["score"] is None  # genesis carries no transactions
-    assert rows[1]["hash"] == f"{block.block_hash:064x}"
-    assert rows[1]["tx_count"] == 4
-    assert rows[1]["witnesses"] == 2
 
 
 # -- conflict sweep -------------------------------------------------------------------------

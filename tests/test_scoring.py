@@ -3,6 +3,7 @@
 import hashlib
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -14,13 +15,7 @@ from scorechain.core_types import (
     tx_inputs_bytes,
     tx_outputs_bytes,
 )
-from scorechain.scoring import (
-    BlockWinner,
-    block_score,
-    compare_blocks,
-    score_preimage,
-    sort_key,
-)
+from scorechain.scoring import block_score, score_preimage, sort_key
 
 STUB = get_scheme("stub")
 
@@ -73,7 +68,7 @@ def test_score_ignores_witnesses_and_header():
     a = make_block(txs)
     b = make_block(txs, parent=2, height=1)
     secret, wid = STUB.keypair(b"w")
-    endorsed = a.with_witnesses([(wid, STUB.sign(secret, b"x"))])
+    endorsed = replace(a, witness_sigs=((wid, STUB.sign(secret, b"x")),))
     assert block_score(a) == block_score(b) == block_score(endorsed)
 
 
@@ -84,26 +79,11 @@ def test_empty_block_has_no_score():
 
 def test_compare_blocks_lower_score_wins():
     a, b = make_block(make_txs(4)), make_block(make_txs(4, tag=b"u"))
-    winner = compare_blocks(a, b)
-    expected = BlockWinner.A_WINS if block_score(a) < block_score(b) else BlockWinner.B_WINS
-    assert winner is expected
-    # antisymmetry
-    flipped = compare_blocks(b, a)
-    assert (winner is BlockWinner.A_WINS) == (flipped is BlockWinner.B_WINS)
-
-
-def test_compare_blocks_rejects_height_mismatch():
-    a = make_block(make_txs(4), height=1)
-    b = make_block(make_txs(4, tag=b"u"), height=2)
-    with pytest.raises(ValueError):
-        compare_blocks(a, b)
-
-
-def test_compare_blocks_rejects_identical_block():
-    a = make_block(make_txs(4))
-    twin = make_block(make_txs(4))
-    with pytest.raises(ValueError):
-        compare_blocks(a, twin)
+    assert block_score(a) != block_score(b)
+    winner = a if block_score(a) < block_score(b) else b
+    # whichever comes first, the lower score sorts first
+    assert min(a, b, key=sort_key) is winner
+    assert min(b, a, key=sort_key) is winner
 
 
 def test_score_tie_falls_back_to_block_hash():
@@ -111,9 +91,9 @@ def test_score_tie_falls_back_to_block_hash():
     txs = make_txs(4)
     a, b = make_block(txs, parent=1), make_block(txs, parent=2)
     assert block_score(a) == block_score(b)
-    winner = compare_blocks(a, b)
-    expected = BlockWinner.A_WINS if a.block_hash < b.block_hash else BlockWinner.B_WINS
-    assert winner is expected
+    winner = a if a.block_hash < b.block_hash else b
+    assert min(a, b, key=sort_key) is winner
+    assert min(b, a, key=sort_key) is winner
 
 
 def test_sort_key_realizes_compare_order():
@@ -122,7 +102,8 @@ def test_sort_key_realizes_compare_order():
     ranked = sorted(blocks, key=sort_key)
     for earlier, later in zip(ranked, ranked[1:]):
         if earlier.block_hash != later.block_hash:
-            assert compare_blocks(earlier, later) is BlockWinner.A_WINS
+            low, high = block_score(earlier), block_score(later)
+            assert low < high or (low == high and earlier.block_hash < later.block_hash)
 
 
 def test_score_cache_is_filled_once():

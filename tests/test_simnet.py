@@ -483,3 +483,8 @@ def test_corruption_argument_checks():
         witness_corruption_trials(10, q=0.5, m=0)
     with pytest.raises(ValueError):
         witness_corruption_trials(10, q=0.5, m=9, n_keys=10)
+    # q is a probability: outside [0, 1] there is no analytic bound
+    for q in (1.5, -0.5):
+        with pytest.raises(ValueError):
+            witness_corruption_trials(10, q=q, m=2)
+        assert cli_main(["corruption", f"--q={q}", "--m=2", "--attempts=10"]) == 2
