@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
@@ -129,19 +129,29 @@ def hash256(data: bytes) -> int:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class NodeId:
-    """A node identity: opaque 32-byte public key plus its integer digest.
+    """A node identity: an opaque 32-byte public key.
 
-    key_digest = hash256(public_key); equality and hashing go through the key
-    bytes alone, so two NodeIds are equal iff their keys are equal.
+    key_digest = hash256(public_key), the input to the witness distance. It
+    is computed when first read and then kept, since most identities (every
+    funded account, every decoded sender and recipient) never need it.
+    Equality and hashing go through the key bytes alone, so two NodeIds are
+    equal iff their keys are equal, whether or not a digest was read.
     """
 
     public_key: bytes
-    key_digest: int = field(init=False, repr=False)
+    _digest: "int | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.public_key, bytes) or len(self.public_key) != KEY_LEN:
             raise ValueError(f"public key must be {KEY_LEN} bytes")
-        object.__setattr__(self, "key_digest", hash256(self.public_key))
+
+    @property
+    def key_digest(self) -> int:
+        digest = self._digest
+        if digest is None:
+            digest = hash256(self.public_key)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NodeId) and self.public_key == other.public_key
@@ -267,9 +277,11 @@ class Transaction:
     signing_bytes: bytes = field(init=False, repr=False)
     canonical_bytes: bytes = field(init=False, repr=False)
     tx_id: int = field(init=False, repr=False)
+    # the core bytes when the caller already encoded them to sign them
+    _core: InitVar["bytes | None"] = None
 
-    def __post_init__(self) -> None:
-        core = _tx_core_bytes(self.sender, self.body)
+    def __post_init__(self, _core: "bytes | None") -> None:
+        core = _tx_core_bytes(self.sender, self.body) if _core is None else _core
         full = core + enc_bytes(self.signature)
         object.__setattr__(self, "signing_bytes", core)
         object.__setattr__(self, "canonical_bytes", full)
@@ -618,9 +630,9 @@ def get_scheme(name: str) -> SignatureScheme:
 def make_transaction(
     scheme: SignatureScheme, secret: bytes, sender: NodeId, body: TxBody
 ) -> Transaction:
-    """Build and sign a transaction in one step."""
-    signature = scheme.sign(secret, _tx_core_bytes(sender, body))
-    return Transaction(sender, body, signature)
+    """Build and sign a transaction in one step, encoding its core bytes once."""
+    core = _tx_core_bytes(sender, body)
+    return Transaction(sender, body, scheme.sign(secret, core), core)
 
 
 def coinbase_transaction(body: TxBody) -> Transaction:

@@ -21,7 +21,7 @@ bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -335,8 +335,10 @@ def total_value(indices: TxIndices) -> int:
 
 def fund_accounts(alloc: Mapping[NodeId, int]) -> TxIndices:
     """Initial account balances, counted as pre-issued value."""
-    balances = {node: units for node, units in alloc.items() if units > 0}
-    return TxIndices(balances=balances, issued=sum(balances.values()))
+    balances = {node.public_key: units for node, units in alloc.items() if units > 0}
+    indices = TxIndices(issued=sum(balances.values()))
+    indices._balances_base = balances  # keyed by key bytes, as the base is
+    return indices
 
 
 def fund_utxos(alloc: Mapping[NodeId, Sequence[int]]) -> TxIndices:
@@ -379,14 +381,15 @@ class ApplyStatus(Enum):
 class ApplyResult:
     status: ApplyStatus
     reason: "BlockReject | None" = None
+    stored: bool = field(init=False, repr=False)
 
-    @property
-    def stored(self) -> bool:
-        return self.status in (
+    def __post_init__(self) -> None:
+        stored = self.status in (
             ApplyStatus.ACCEPTED,
             ApplyStatus.SWITCHED,
             ApplyStatus.SIDE_BRANCH,
         )
+        object.__setattr__(self, "stored", stored)
 
 
 # the outcomes that carry nothing of the block, shared by every apply ending in one

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -91,9 +91,6 @@ class LatencySpec:
     def validate(self) -> None:
         if self.lo < 0 or self.hi < self.lo:
             raise SimConfigError("latency", "need 0 <= lo <= hi")
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.lo, self.hi)
 
 
 class Strategy(Enum):
@@ -787,8 +784,13 @@ class Simulator:
         self.scheme = _VerifiedMemo(get_scheme(cfg.scheme))
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
         # tick -> (kind, payload) events in scheduling order
-        self._queue: dict[int, list] = {}
+        self._queue: defaultdict[int, list] = defaultdict(list)
         self._now = 0
+        # send draws a delay as rng.randint(lo, hi) does: lo plus the first
+        # getrandbits(k) draw below span, so every seed keeps its sequence
+        self._latency_lo = cfg.latency.lo
+        self._latency_span = cfg.latency.hi - cfg.latency.lo + 1
+        self._latency_bits = self._latency_span.bit_length()
 
         secrets = []
         node_ids = []
@@ -839,17 +841,19 @@ class Simulator:
     # -- scheduling -----------------------------------------------------------
 
     def _push(self, at: int, kind: int, payload) -> None:
-        events = self._queue.get(at)
-        if events is None:
-            self._queue[at] = [(kind, payload)]
-        else:
-            events.append((kind, payload))
+        self._queue[at].append((kind, payload))
 
     def send(self, sender: int, target: int, message) -> None:
         """Point-to-point send under the same loss and latency model."""
-        if self.rng.random() < self.cfg.delivery_ratio:
-            delay = self.cfg.latency.sample(self.rng)
-            self._push(self._now + delay, EV_DELIVER, (target, sender, message))
+        rng = self.rng
+        if rng.random() < self.cfg.delivery_ratio:
+            span, bits = self._latency_span, self._latency_bits
+            r = rng.getrandbits(bits)
+            while r >= span:
+                r = rng.getrandbits(bits)
+            self._queue[self._now + self._latency_lo + r].append(
+                (EV_DELIVER, (target, sender, message))
+            )
 
     def broadcast(self, sender: int, message) -> None:
         for target in range(self.cfg.n_nodes):
@@ -902,19 +906,20 @@ class Simulator:
 
     def _deliver(self, target: int, sender: int, message) -> None:
         node = self.nodes[target]
-        if isinstance(message, TxGossip):
+        cls = type(message)  # message classes have no subclasses
+        if cls is TxGossip:
             node.accept_tx(message.tx)
-        elif isinstance(message, WitnessReqMsg):
+        elif cls is WitnessReqMsg:
             node.on_witness_request(message, sender)
-        elif isinstance(message, WitnessSigMsg):
+        elif cls is WitnessSigMsg:
             node.on_witness_sig(message)
-        elif isinstance(message, BlockGossip):
+        elif cls is BlockGossip:
             node.handle_block(message.block, pull_from=sender)
-        elif isinstance(message, ForkWinGossip):
+        elif cls is ForkWinGossip:
             node.on_fork_win(message, sender)
-        elif isinstance(message, PullReq):
+        elif cls is PullReq:
             node.on_pull_req(message, sender)
-        elif isinstance(message, PullReply):
+        elif cls is PullReply:
             node.on_pull_reply(message)
         if self.cfg.trace:
             self.report.trace.append(

@@ -1,11 +1,13 @@
 """Types, canonical bytes, hashing, and signature schemes."""
 
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scorechain import core_types
 from scorechain.core_types import (
@@ -39,6 +41,7 @@ from scorechain.core_types import (
     make_transaction,
     serialize_block,
 )
+from scorechain.witness import distance
 
 STUB = get_scheme("stub")
 
@@ -111,6 +114,35 @@ def test_node_id_equality_and_hash():
     assert a.hex() == a.public_key.hex()
 
 
+def test_node_id_digest_is_computed_when_first_read(monkeypatch):
+    key = hashlib.sha256(b"lazy").digest()
+    calls = []
+    monkeypatch.setattr(core_types, "hash256", lambda data: calls.append(data) or hash256(data))
+    node = NodeId(key)
+    assert calls == []
+    assert node.key_digest == hash256(key)
+    assert node.key_digest == hash256(key)
+    assert calls == [key]  # read twice, computed once
+
+
+def test_node_id_equality_ignores_whether_the_digest_was_read():
+    key = hashlib.sha256(b"twin").digest()
+    read, unread = NodeId(key), NodeId(key)
+    assert read.key_digest == hash256(key)  # only one side has its digest cached
+    for a, b in [(read, unread), (pickle.loads(pickle.dumps(read)), unread),
+                 (read, pickle.loads(pickle.dumps(unread)))]:
+        assert a == b and b == a and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.key_digest == b.key_digest == hash256(key)
+
+
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
+def test_distance_is_the_xor_of_eager_digests(a, b):
+    eager = hash256(a) ^ hash256(b)
+    assert distance(NodeId(a), NodeId(b)) == eager
+    assert distance(NodeId(b), NodeId(a)) == eager
+
+
 def test_node_id_rejects_bad_key_length():
     with pytest.raises(ValueError):
         NodeId(b"short")
@@ -150,6 +182,29 @@ def test_tx_id_covers_signature():
     forged = Transaction(sender, body, b"\x00" * 64)
     assert forged.signing_bytes == tx.signing_bytes
     assert forged.tx_id != tx.tx_id
+
+
+def test_make_transaction_encodes_its_core_once(monkeypatch):
+    secret, sender = keypair(b"s")
+    _, recipient = keypair(b"r")
+    bodies = [
+        AccountBody(recipient, 5, 0),
+        UtxoBody((Outpoint(7, 0), Outpoint(8, 2)), (TxOutput(recipient, 5),)),
+    ]
+    encode = core_types._tx_core_bytes
+    calls = []
+    monkeypatch.setattr(
+        core_types, "_tx_core_bytes", lambda *args: calls.append(args) or encode(*args)
+    )
+    for body in bodies:
+        calls.clear()
+        tx = make_transaction(STUB, secret, sender, body)
+        assert len(calls) == 1
+        fresh = Transaction(sender, body, tx.signature)  # encodes its own core
+        assert tx.signing_bytes == fresh.signing_bytes
+        assert tx.canonical_bytes == fresh.canonical_bytes
+        assert tx.tx_id == fresh.tx_id
+        assert STUB.verify(sender, tx.signing_bytes, tx.signature)
 
 
 def test_signature_verifies_over_signing_bytes():

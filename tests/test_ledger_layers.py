@@ -7,13 +7,16 @@ collapse every few blocks and one too large to collapse in a test's blocks.
 """
 
 from dataclasses import dataclass
+from hashlib import sha256
 
 from hypothesis import given, settings, strategies as st
 
+from scorechain import core_types, ledger
 from scorechain.core_types import (
     AccountBody,
     Block,
     ChainConfig,
+    NodeId,
     Outpoint,
     SYSTEM_ID,
     Transaction,
@@ -234,6 +237,32 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
             assert snapshot._balances_base is genesis_indices._balances_base
             assert snapshot._utxos_base is genesis_indices._utxos_base
     state.assert_replay_matches()
+
+
+@given(st.dictionaries(st.binary(min_size=32, max_size=32), st.integers(0, 10**12), max_size=12))
+def test_fund_accounts_matches_the_node_keyed_constructor(alloc):
+    by_node = {NodeId(key): units for key, units in alloc.items()}
+    funded = {node: units for node, units in by_node.items() if units > 0}
+    expected = TxIndices(balances=funded, issued=sum(funded.values()))
+    indices = fund_accounts(by_node)
+    assert indices == expected
+    assert Plain.of(indices) == Plain.of(expected)
+
+
+def test_funding_accounts_hashes_nothing(monkeypatch):
+    # building the identities takes no digest, and funding them hashes no
+    # NodeId: the balance map is keyed by key bytes in one pass
+    calls = []
+    hash256 = core_types.hash256
+    monkeypatch.setattr(core_types, "hash256", lambda data: calls.append(data) or hash256(data))
+    monkeypatch.setattr(ledger, "hash256", core_types.hash256)
+    nodes = [NodeId(sha256(enc_u64(i)).digest()) for i in range(10_000)]
+    alloc = dict(zip(nodes, range(1, 10_001)))
+    monkeypatch.setattr(NodeId, "__hash__", lambda node: calls.append(node) or hash(node.public_key))
+    indices = fund_accounts(alloc)
+    assert calls == []
+    assert indices.issued == sum(alloc.values())
+    assert len(indices._balances_base) == 10_000
 
 
 def test_clone_collapses_exactly_past_the_rule():

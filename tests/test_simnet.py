@@ -1,7 +1,8 @@
 """Event-driven network simulation: config, determinism, attacks, Monte Carlo."""
 
 import json
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -143,14 +144,22 @@ def test_cli_rejects_malformed_config_with_exit_2(tmp_path, capsys):
 
 
 def test_latency_spec_sampling():
-    import random
-
-    rng = random.Random(0)
-    fixed = LatencySpec(4, 4)
-    assert {fixed.sample(rng) for _ in range(20)} == {4}
-    ranged = LatencySpec(2, 5)
-    draws = {ranged.sample(rng) for _ in range(200)}
-    assert draws == {2, 3, 4, 5}
+    # send draws each delay itself, with the bits rng.randint(lo, hi) would
+    # take after the loss draw, so a seed schedules the ticks it always did
+    for lo, hi in [(0, 0), (1, 1), (1, 3), (0, 6), (2, 9)]:
+        sim = Simulator(replace(SMALL, delivery_ratio=1.0, latency=LatencySpec(lo, hi)))
+        for seed in range(4):
+            sim.rng, sim._queue = random.Random(seed), defaultdict(list)
+            for message in range(300):
+                sim.send(0, 1, message)
+            delay = {
+                payload[2]: tick for tick, events in sim._queue.items() for _, payload in events
+            }
+            reference = random.Random(seed)
+            expected = [(reference.random(), reference.randint(lo, hi))[1] for _ in range(300)]
+            assert [delay[message] for message in range(300)] == expected
+            assert sim.rng.getstate() == reference.getstate()
+            assert set(expected) == set(range(lo, hi + 1))
 
 
 # -- determinism ---------------------------------------------------------------------
