@@ -543,7 +543,9 @@ class SignatureScheme(ABC):
 
     @abstractmethod
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        ...
+        """Deterministic: the same (secret, message) always gives the same
+        bytes (Ed25519 per RFC 8032; the stub is a hash). Endorsements rely
+        on this to sign only when first read (witness.endorse)."""
 
     @abstractmethod
     def verify(self, public: NodeId, message: bytes, signature: bytes) -> bool:

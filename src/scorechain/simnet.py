@@ -43,7 +43,6 @@ from .core_types import (
     TxOutput,
     UtxoBody,
     enc_u64,
-    enc_u256,
     get_scheme,
     make_transaction,
 )
@@ -61,6 +60,7 @@ from .scoring import block_score
 from .witness import (
     Refusal,
     WitnessSignature,
+    endorse,
     is_eligible_witness,
     mint_block,
     propose_block,
@@ -591,12 +591,8 @@ class AdversaryNode(HonestNode):
             return
         if not is_eligible_witness(candidate.proposer, self.node_id, self.sim.cfg.chain):
             return  # an ineligible signature would be dropped anyway
-        sig = self.sim.scheme.sign(self.secret, enc_u256(candidate.block_hash))
-        self.sim.send(
-            self.index,
-            sender,
-            WitnessSigMsg(candidate.block_hash, WitnessSignature(self.node_id, sig)),
-        )
+        sig = endorse(self.sim.scheme, self.secret, self.node_id, candidate)
+        self.sim.send(self.index, sender, WitnessSigMsg(candidate.block_hash, sig))
 
 
 class DoubleSpendAdversary(AdversaryNode):
@@ -947,10 +943,17 @@ class Simulator:
             top = max(votes.values())
             majority.append(min(h for h, v in votes.items() if v == top))
         report.hard_forks = 1 if divergent else 0
+        # blocks are content-addressed, so nodes that share a confirmed
+        # prefix share its verdict; most honest nodes do
+        conflicted_prefix: dict[tuple[int, ...], bool] = {}
         for node, (record, conflicted) in zip(honest, finals):
             if conflicted or any(a != b for a, b in zip(record, majority)):
                 report.misled_events += 1
-            if confirmed_conflicts(node.state):
+            prefix = tuple(node.state.confirmed_prefix())
+            verdict = conflicted_prefix.get(prefix)
+            if verdict is None:
+                verdict = conflicted_prefix[prefix] = bool(confirmed_conflicts(node.state))
+            if verdict:
                 report.confirmed_conflict_nodes += 1
         # end-of-run confirmed prefixes must agree pairwise: every honest
         # prefix is a prefix of the longest one
@@ -1163,7 +1166,6 @@ def witness_corruption_trials(
     ]
     if len(eligible) < m:
         raise ValueError("eligible set smaller than m")
-    message = enc_u256(block.block_hash)
     witnessed = 0
     adversarial_slots = 0
     for _ in range(attempts):
@@ -1174,7 +1176,7 @@ def witness_corruption_trials(
             secret, wid = keys[idx]
             if rng.random() < q:
                 adversarial_slots += 1
-                sigs.append(WitnessSignature(wid, scheme.sign(secret, message)))
+                sigs.append(endorse(scheme, secret, wid, block))
             else:
                 outcome = sign_witness(secret, wid, block, state, cfg, {})
                 if not isinstance(outcome, Refusal):

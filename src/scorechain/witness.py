@@ -12,6 +12,14 @@ coinbase (incentive.make_coinbase_rule), if it has one, after the user
 transactions, so a minted block is its candidate plus a certificate plus
 the coinbase; ledgers split it back at the first system transaction and
 recompute the coinbase rather than trust it.
+
+An endorsement's signature is computed when it is first read (endorse):
+minting reads only the first m valid ones, and the rest of a network's
+endorsements arrive after the mint, reach an expired proposal or are lost.
+Signing is deterministic (SignatureScheme.sign), so a signature computed
+late has the bytes an eager one would have had. Until it is read, an
+endorsement holds its signer's secret, in memory only: endorsements have no
+codec, and simnet.run_trials pickles reports, never nodes or messages.
 """
 
 from __future__ import annotations
@@ -52,10 +60,55 @@ def is_eligible_witness(proposer: NodeId, candidate: NodeId, cfg: ChainConfig) -
     return distance(proposer, candidate) < cfg.witness_threshold
 
 
-@dataclass(frozen=True, slots=True)
 class WitnessSignature:
-    witness: NodeId
-    signature: bytes
+    """A witness's signature over u256(candidate.block_hash).
+
+    WitnessSignature(witness, signature) holds explicit bytes. endorse()
+    builds one that signs when .signature is first read, keeps the bytes and
+    drops the secret it held until then; the bytes are those an eager sign
+    gives, since signing is deterministic. Two endorsements are equal iff
+    their witnesses and signature bytes are; the repr shows just those two.
+    """
+
+    __slots__ = ("witness", "_signature", "_signer")
+
+    def __init__(self, witness: NodeId, signature: bytes) -> None:
+        self.witness = witness
+        self._signature: "bytes | None" = signature
+        self._signer: "tuple[SignatureScheme, bytes, bytes] | None" = None
+
+    @property
+    def signature(self) -> bytes:
+        signature = self._signature
+        if signature is None:
+            scheme, secret, message = self._signer
+            signature = self._signature = scheme.sign(secret, message)
+            self._signer = None
+        return signature
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, WitnessSignature)
+            and self.witness == other.witness
+            and self.signature == other.signature
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.witness, self.signature))
+
+    def __repr__(self) -> str:
+        return f"WitnessSignature(witness={self.witness!r}, signature={self.signature!r})"
+
+
+def endorse(
+    scheme: SignatureScheme, secret: bytes, witness: NodeId, candidate: Block
+) -> WitnessSignature:
+    """witness's endorsement of candidate, signed when first read."""
+    endorsement = object.__new__(WitnessSignature)
+    endorsement.witness = witness
+    endorsement._signature = None
+    endorsement._signer = (scheme, secret, enc_u256(candidate.block_hash))
+    return endorsement
 
 
 class RefusalReason(Enum):
@@ -141,7 +194,8 @@ def sign_witness(
     eligible, the candidate validates against its own chain view, no known
     block at that height already beats the candidate's score, and it has not
     endorsed a different candidate at the same height. Re-signing the
-    identical candidate is idempotent.
+    identical candidate is idempotent. Every check and the log entry happen
+    here; only the signature itself waits until it is read (endorse).
     """
     proposer, height = candidate.proposer, candidate.height
     if node.public_key == proposer.public_key or not is_eligible_witness(proposer, node, cfg):
@@ -155,7 +209,7 @@ def sign_witness(
     if best is not None and best < block_score(candidate):
         return Refusal(RefusalReason.LOWER_SCORE_EXISTS)
     log[height] = candidate.block_hash
-    return WitnessSignature(node, state.scheme.sign(secret, enc_u256(candidate.block_hash)))
+    return endorse(state.scheme, secret, node, candidate)
 
 
 def mint_block(

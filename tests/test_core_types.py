@@ -365,6 +365,19 @@ def test_ed25519_cached_keys_sign_as_freshly_loaded_ones():
     assert node.public_key == fresh.public_key().public_bytes_raw()
 
 
+@given(seed=st.binary(max_size=16), message=st.binary(max_size=200))
+def test_signing_is_deterministic(seed, message):
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    for scheme in (STUB, get_scheme("ed25519")):
+        secret, node = scheme.keypair(seed)
+        first = scheme.sign(secret, message)
+        assert scheme.sign(secret, message) == first
+        assert scheme.verify(node, message, first)
+    # and the same bytes as a key loaded afresh
+    assert first == Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+
+
 def test_ed25519_malformed_public_key_fails_every_time():
     scheme = get_scheme("ed25519")
     secret, _ = scheme.keypair(b"malformed")

@@ -265,6 +265,26 @@ def test_ed25519_scheme_end_to_end():
     assert report.confirmed_conflict_nodes == 0
 
 
+def test_honest_ed25519_run_signs_only_what_it_reads(monkeypatch):
+    signs = []
+    plain = Ed25519Scheme.sign
+
+    def counted(self, secret, message):
+        signs.append(message)
+        return plain(self, secret, message)
+
+    monkeypatch.setattr(Ed25519Scheme, "sign", counted)
+    cfg = replace(
+        SMALL, n_nodes=6, duration=30, scheme="ed25519", seed=2, tx_model=TxModel.UTXO
+    )
+    report = run_simulation(cfg)
+    assert report.blocks_minted > 0
+    # one sign per wallet payment and one per endorsement a certificate
+    # holds; the endorsements nobody reads are never signed
+    minted = cfg.chain.witness_m * report.blocks_minted
+    assert len(signs) == report.txs_injected + minted
+
+
 # -- the simulator's verified-signature memo ------------------------------------------
 
 
@@ -483,6 +503,13 @@ def test_corruption_mid_q_matches_q_to_the_m():
     assert result.analytic == 0.25
     assert result.witnessed_rate == pytest.approx(0.25, abs=4 * 0.0079)  # 4 sigma
     assert result.adversarial_slot_rate == pytest.approx(0.5, abs=0.03)
+
+
+def test_corruption_trials_repeat_per_seed():
+    result = witness_corruption_trials(400, q=0.5, m=2, n_keys=60, seed=3)
+    # pinned when every endorsement was signed as it was made
+    assert (result.witnessed, result.adversarial_slot_rate) == (92, 0.50375)
+    assert witness_corruption_trials(400, q=0.5, m=2, n_keys=60, seed=3) == result
 
 
 def test_corruption_argument_checks():

@@ -1,5 +1,7 @@
 """Two-stage witness flow: eligibility, endorsement, refusals, minting."""
 
+import pickle
+
 import pytest
 
 from scorechain.core_types import (
@@ -7,6 +9,7 @@ from scorechain.core_types import (
     Block,
     ChainConfig,
     MAX_HASH,
+    SignatureScheme,
     Transaction,
     coinbase_transaction,
     enc_u256,
@@ -41,14 +44,14 @@ def fresh_state(parties, units=10**9, cfg=CFG):
     return ChainState(cfg, STUB, fund_accounts({nid: units for _, nid in parties}))
 
 
-def payments(parties, count, nonce=0):
+def payments(parties, count, nonce=0, scheme=STUB):
     txs = []
     for i in range(count):
         secret, sender = parties[i % len(parties)]
         recipient = parties[(i + 1) % len(parties)][1]
         txs.append(
             make_transaction(
-                STUB, secret, sender, AccountBody(recipient, 1, nonce + i // len(parties))
+                scheme, secret, sender, AccountBody(recipient, 1, nonce + i // len(parties))
             )
         )
     return txs
@@ -99,7 +102,7 @@ def test_witness_digest_ignores_coinbase():
         CFG, STUB, fund_accounts({nid: 10**9 for _, nid in parties}), coinbase_rule=rule
     )
     candidate = proposal(parties, state)
-    sigs = endorse(candidate, state, parties[1:3])
+    sigs = gather_endorsements(candidate, state, parties[1:3])
     block = mint_block(candidate, sigs, CFG, STUB, coinbase_rule=rule)
     assert block is not None
     assert any(tx.is_coinbase() for tx in block.transactions)
@@ -277,10 +280,93 @@ def test_sign_witness_refuses_when_better_block_known(monkeypatch):
     assert isinstance(out, Refusal) and out.reason is RefusalReason.LOWER_SCORE_EXISTS
 
 
+# -- endorsements sign when first read -------------------------------------------
+
+
+class CountingScheme(SignatureScheme):
+    """A plain scheme that counts its sign calls."""
+
+    def __init__(self, plain):
+        self.plain, self.name, self.signs = plain, plain.name, 0
+
+    def keypair(self, seed):
+        return self.plain.keypair(seed)
+
+    def sign(self, secret, message):
+        self.signs += 1
+        return self.plain.sign(secret, message)
+
+    def verify(self, public, message, signature):
+        return self.plain.verify(public, message, signature)
+
+
+def counted_proposal(name):
+    scheme = CountingScheme(get_scheme(name))
+    parties = [scheme.keypair(b"lazy" + bytes([i])) for i in range(5)]
+    state = ChainState(CFG, scheme, fund_accounts({nid: 10**9 for _, nid in parties}))
+    candidate = propose_block(parties[0][1], state, payments(parties, 4, scheme=scheme), CFG)
+    assert candidate is not None
+    return scheme, parties, state, candidate
+
+
+@pytest.mark.parametrize("name", ["stub", "ed25519"])
+def test_an_endorsement_signs_once_when_first_read(name):
+    scheme, parties, state, candidate = counted_proposal(name)
+    secret, wid = parties[1]
+    signed_before = scheme.signs
+    log = {}
+    out = sign_witness(secret, wid, candidate, state, CFG, log)
+    assert isinstance(out, WitnessSignature) and out.witness == wid
+    # every check ran and the log is written, but nothing is signed yet
+    assert log == {1: candidate.block_hash}
+    assert scheme.signs == signed_before
+    expected = scheme.plain.sign(secret, enc_u256(candidate.block_hash))
+    assert out.signature == expected
+    assert out.signature == expected
+    assert scheme.signs == signed_before + 1
+
+
+@pytest.mark.parametrize("name", ["stub", "ed25519"])
+def test_unread_endorsements_are_never_signed(name):
+    scheme, parties, state, candidate = counted_proposal(name)
+    signed_before = scheme.signs
+    sigs = gather_endorsements(candidate, state, parties[1:])
+    assert len(sigs) == 4 and scheme.signs == signed_before
+    # minting reads the first m valid ones only
+    assert mint_block(candidate, sigs, CFG, scheme) is not None
+    assert scheme.signs == signed_before + CFG.witness_m
+
+
+def test_an_endorsement_never_shows_its_secret():
+    scheme, parties, state, candidate = counted_proposal("ed25519")
+    secret, wid = parties[1]
+    out = sign_witness(secret, wid, candidate, state, CFG, {})
+    shown = repr(out)
+    assert secret.hex() not in shown and repr(secret) not in shown
+    assert repr(out.signature) in shown
+    # once read, the endorsement no longer holds the secret at all
+    assert secret not in pickle.dumps(out)
+
+
+def test_endorsements_are_equal_iff_witness_and_bytes_are():
+    parties = keys(5)
+    state = fresh_state(parties)
+    candidate = proposal(parties, state)
+    (secret, wid), (_, other) = parties[1], parties[2]
+    message = enc_u256(candidate.block_hash)
+    lazy = sign_witness(secret, wid, candidate, state, CFG, {})
+    eager = WitnessSignature(wid, STUB.sign(secret, message))
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy == sign_witness(secret, wid, candidate, state, CFG, {})
+    assert lazy != WitnessSignature(other, eager.signature)
+    assert lazy != WitnessSignature(wid, STUB.sign(secret, message + b"x"))
+    assert lazy != (wid, eager.signature)
+
+
 # -- mint ------------------------------------------------------------------------
 
 
-def endorse(candidate, state, parties):
+def gather_endorsements(candidate, state, parties):
     sigs = []
     for secret, wid in parties:
         if wid == candidate.proposer:
@@ -295,7 +381,7 @@ def test_mint_block_happy_path():
     parties = keys(5)
     state = fresh_state(parties)
     candidate = proposal(parties, state)
-    sigs = endorse(candidate, state, parties[1:3])
+    sigs = gather_endorsements(candidate, state, parties[1:3])
     block = mint_block(candidate, sigs, CFG, STUB)
     assert block is not None
     assert block.block_hash == candidate.block_hash
@@ -307,7 +393,7 @@ def test_mint_block_returns_none_when_short():
     parties = keys(5)
     state = fresh_state(parties)
     candidate = proposal(parties, state)
-    sigs = endorse(candidate, state, parties[1:2])
+    sigs = gather_endorsements(candidate, state, parties[1:2])
     assert mint_block(candidate, sigs, CFG, STUB) is None
     assert mint_block(candidate, [], CFG, STUB) is None
 
@@ -316,7 +402,7 @@ def test_mint_block_drops_bad_signatures():
     parties = keys(6)
     state = fresh_state(parties)
     candidate = proposal(parties, state)
-    good = endorse(candidate, state, parties[1:3])
+    good = gather_endorsements(candidate, state, parties[1:3])
     psecret, _ = parties[0]
     junk = [
         WitnessSignature(candidate.proposer, STUB.sign(psecret, enc_u256(candidate.block_hash))),
@@ -335,7 +421,7 @@ def test_mint_block_drops_ineligible_witness():
     parties = keys(6)
     state = fresh_state(parties)
     candidate = proposal(parties, state)
-    sigs = endorse(candidate, state, parties[1:4])
+    sigs = gather_endorsements(candidate, state, parties[1:4])
     _, proposer = parties[0]
     ranked = sorted(sigs, key=lambda ws: distance(proposer, ws.witness))
     # threshold admits only the two closest of the three signers
@@ -351,7 +437,7 @@ def test_mint_block_appends_the_coinbase_rule_output():
     parties = keys(5)
     state = fresh_state(parties)
     candidate = proposal(parties, state)
-    sigs = endorse(candidate, state, parties[1:3])
+    sigs = gather_endorsements(candidate, state, parties[1:3])
     rule = make_coinbase_rule(RewardSchedule(50, 5), TxModel.ACCOUNT)
     calls = []
 
