@@ -435,6 +435,38 @@ def certify(candidate: Block, witness_sigs: Sequence[tuple[NodeId, bytes]]) -> B
     return block
 
 
+# tag, record type, parent hash, height and proposer: the bytes before the count
+_BLOCK_HEADER_LEN = 2 + 32 + 8 + KEY_LEN
+
+
+def candidate_of(block: Block, cut: int) -> Block:
+    """The candidate a minted block was certified from: its first cut
+    transactions and no certificate.
+
+    Its core bytes are the block's header, the new count and the block's
+    first cut transaction records, sliced out and hashed once; nothing is
+    encoded again.
+    """
+    txs = block.transactions[:cut]
+    start = _BLOCK_HEADER_LEN + 4
+    end = start + sum(4 + len(tx.canonical_bytes) for tx in txs)
+    core = block.core_bytes
+    core = core[:_BLOCK_HEADER_LEN] + enc_u32(cut) + core[start:end]
+    candidate = object.__new__(Block)
+    for name, value in (
+        ("parent_hash", block.parent_hash),
+        ("height", block.height),
+        ("proposer", block.proposer),
+        ("transactions", txs),
+        ("witness_sigs", ()),
+        ("core_bytes", core),
+        ("block_hash", hash256(core)),
+        ("score_cache", None),
+    ):
+        object.__setattr__(candidate, name, value)
+    return candidate
+
+
 def serialize_block(block: Block) -> bytes:
     parts = [block.core_bytes, enc_u32(len(block.witness_sigs))]
     for node, sig in block.witness_sigs:

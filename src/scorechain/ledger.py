@@ -16,13 +16,17 @@ relatives plus an overlay of the writes made since that base was built, so a
 block costs about its own writes, not the account count (see TxIndices for
 when an overlay is merged into a fresh base). A replay oracle can recompute
 the head snapshot from genesis after every switch to guard the incremental
-bookkeeping.
+bookkeeping; it costs the replay plus a comparison of the two overlays when
+both sides still share a base, and never copies the account set (see
+TxIndices). A mismatch names the first field and key that differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, filterfalse, repeat
+from operator import attrgetter, is_not
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -39,6 +43,7 @@ from .core_types import (
     Transaction,
     TxOutput,
     UtxoBody,
+    candidate_of,
     deserialize_block,
     enc_bytes,
     enc_u8,
@@ -102,6 +107,7 @@ DEAD_TX = frozenset(
 
 # default of an overlay lookup, distinct from a spent UTXO's None tombstone
 _ABSENT = object()
+_AMOUNT = attrgetter("amount")
 
 
 def _merged(base: dict, overlay: dict) -> dict:
@@ -141,6 +147,15 @@ class TxIndices:
     Accounts are keyed by public key bytes, which hash in C (a NodeId's hash
     is a Python call). The balances, nonces and utxos properties are merged
     read-only copies, keyed by NodeId, for tests and reports.
+
+    Equality (the replay oracle's check) and total_value build no merged
+    copy. Two snapshots sharing one base object, as a replay and the head do
+    until the head's chain first collapses, compare in time proportional to
+    their two overlays: every other key reads the same base. Snapshots with
+    different bases cost besides at most one C-level sweep of one base (both
+    only when they differ), which allocates nothing per account. A mismatch
+    is named by its first field and key. total_value sums the bases in C and
+    corrects the sum by each overlay entry, spent-output tombstones included.
 
     issued counts all value ever created (initial allocation plus coinbase);
     burned counts UTXO input value not re-emitted as outputs. Conservation:
@@ -197,7 +212,7 @@ class TxIndices:
         self._utxos_base = _merged(self._utxos_base, self._utxos)
         self._balances, self._nonces, self._utxos = {}, {}, {}
 
-    # -- merged views (tests, reports, the replay oracle) ----------------------
+    # -- merged views (tests and reports) --------------------------------------
 
     @property
     def balances(self) -> Mapping[NodeId, int]:
@@ -213,20 +228,11 @@ class TxIndices:
     def utxos(self) -> Mapping[Outpoint, TxOutput]:
         return MappingProxyType(_merged(self._utxos_base, self._utxos))
 
-    def _content(self) -> tuple:
-        return (
-            _merged(self._balances_base, self._balances),
-            _merged(self._nonces_base, self._nonces),
-            _merged(self._utxos_base, self._utxos),
-            self.issued,
-            self.burned,
-        )
-
     def __eq__(self, other: object) -> bool:
         """Equal content, however each side splits it between base and overlay."""
         if not isinstance(other, TxIndices):
             return NotImplemented
-        return self._content() == other._content()
+        return _first_difference(self, other) is None
 
     # -- validation ---------------------------------------------------------
 
@@ -327,10 +333,73 @@ class TxIndices:
             self.burned += in_sum - out_sum
 
 
+def _map_difference(overlay: dict, base: dict, other_overlay: dict, other_base: dict):
+    """The first key two overlaid maps read differently, or _ABSENT if none.
+
+    Each side reads every key written on either side into a patch, with None
+    for an absent key (no base holds None), and the two patches are built
+    and compared in C. Every other key, unwritten, reads each side's base,
+    so with one shared base nothing more is compared. Different bases agree
+    on their unwritten keys when they hold as many of them and every one of
+    base's is held alike by other_base: one C-level sweep of base checks
+    that, comparing by value only the entries not held identically. Only
+    when the counts differ is other_base swept as well, to name its extra key.
+    """
+    patch = dict(zip(other_overlay, map(base.get, other_overlay)))
+    patch.update(overlay)
+    other_patch = dict(zip(overlay, map(other_base.get, overlay)))
+    other_patch.update(other_overlay)
+    if patch != other_patch:  # the same keys, so some value differs
+        return next(key for key, value in patch.items() if other_patch[key] != value)
+    if base is other_base:
+        return _ABSENT
+    unwritten = len(base) - sum(map(base.__contains__, patch))
+    sweeps = [(base, other_base)] if unwritten else []
+    if len(other_base) - sum(map(other_base.__contains__, patch)) != unwritten:
+        sweeps.append((other_base, base))
+    for mine, theirs in sweeps:
+        held = map(theirs.get, mine, repeat(_ABSENT))
+        suspects = compress(mine, map(is_not, held, mine.values()))
+        for key in filterfalse(patch.__contains__, suspects):
+            if theirs.get(key, _ABSENT) != mine[key]:
+                return key
+    return _ABSENT
+
+
+def _first_difference(a: TxIndices, b: TxIndices) -> "tuple[str, object] | None":
+    """Where two snapshots' contents first differ: (field, key), or None.
+
+    The fields are checked in the order issued, burned, balances, nonces,
+    utxos; the key is None for the two totals, and a public key's bytes or
+    an Outpoint for the maps. A zero balance and an absent account differ.
+    """
+    for name in ("issued", "burned"):
+        if getattr(a, name) != getattr(b, name):
+            return name, None
+    for name in ("balances", "nonces", "utxos"):
+        overlay, base = f"_{name}", f"_{name}_base"
+        key = _map_difference(
+            getattr(a, overlay), getattr(a, base), getattr(b, overlay), getattr(b, base)
+        )
+        if key is not _ABSENT:
+            return name, key
+    return None
+
+
 def total_value(indices: TxIndices) -> int:
-    """All value currently held in accounts and unspent outputs."""
-    balances, _, utxos, _, _ = indices._content()
-    return sum(balances.values()) + sum(out.amount for out in utxos.values())
+    """All value currently held in accounts and unspent outputs.
+
+    The bases are summed in C, then corrected by each overlay entry, so no
+    merged copy is built.
+    """
+    balances, utxos = indices._balances_base, indices._utxos_base
+    total = sum(balances.values()) + sum(map(_AMOUNT, utxos.values()))
+    for key, value in indices._balances.items():
+        total += value - balances.get(key, 0)
+    for op, out in indices._utxos.items():
+        prior = utxos.get(op)
+        total += (0 if out is None else out.amount) - (0 if prior is None else prior.amount)
+    return total
 
 
 def fund_accounts(alloc: Mapping[NodeId, int]) -> TxIndices:
@@ -562,7 +631,7 @@ class ChainState:
         if cut < len(txs):
             if not all(tx.is_coinbase() for tx in txs[cut:]):
                 return BlockReject.BAD_COINBASE
-            candidate = Block(block.parent_hash, block.height, block.proposer, txs[:cut])
+            candidate = candidate_of(block, cut)
         # a candidate a witness found valid has passed the structure checks
         if self.verdicts.get((candidate.block_hash, None)) is not True:
             reason = self._check_structure(candidate, parent)
@@ -767,9 +836,16 @@ class ChainState:
         return indices
 
     def assert_replay_matches(self) -> None:
-        if self.replay_from_genesis() != self.head_indices():
+        """Raise LedgerInvariantError naming the first field and key that differ."""
+        difference = _first_difference(self.head_indices(), self.replay_from_genesis())
+        if difference is not None:
+            name, key = difference
+            if isinstance(key, bytes):  # an account's public key
+                name += f"[{key.hex()}]"
+            elif key is not None:  # an outpoint
+                name += f"[{key.tx_id:x}:{key.index}]"
             raise LedgerInvariantError(
-                "incremental indices diverged from genesis replay"
+                f"incremental indices diverged from genesis replay at {name}"
             )
 
     # -- persistence ---------------------------------------------------------------

@@ -308,6 +308,42 @@ def test_user_transactions_excludes_coinbase():
     assert len(block.user_transactions()) == 2
 
 
+@given(
+    model=st.sampled_from(TxModel),
+    users=st.integers(0, 5),
+    coinbases=st.integers(0, 2),
+    data=st.data(),
+    parent_hash=st.integers(0, MAX_HASH),
+    height=st.integers(1, 2**40),
+    witnessed=st.booleans(),
+)
+def test_candidate_of_equals_the_built_candidate(
+    model, users, coinbases, data, parent_hash, height, witnessed
+):
+    # a minted block's prefix, sliced from its core bytes, is the Block that
+    # the prefix builds, in every field
+    _, owner = keypair(b"owner")
+    if model is TxModel.ACCOUNT:
+        txs = [account_tx(bytes([i]), b"r", amount=i, nonce=i) for i in range(users)]
+        tail = [coinbase_transaction(AccountBody(owner, 50 + i, i)) for i in range(coinbases)]
+    else:
+        txs = [utxo_tx(bytes([i]), b"r", tx_id=i, amount=i) for i in range(users)]
+        marker = (Outpoint(height, COINBASE_INDEX),)
+        tail = [
+            coinbase_transaction(UtxoBody(marker, (TxOutput(owner, 50 + i),)))
+            for i in range(coinbases)
+        ]
+    _, proposer = keypair(b"proposer")
+    block = Block(parent_hash, height, proposer, tuple(txs + tail))
+    if witnessed:
+        block = replace(block, witness_sigs=((owner, b"\x01" * 64),))
+    cut = data.draw(st.integers(0, len(block.transactions)), label="cut")
+    derived = core_types.candidate_of(block, cut)
+    built = Block(parent_hash, height, proposer, block.transactions[:cut])
+    for name in Block.__slots__:
+        assert getattr(derived, name) == getattr(built, name), name
+
+
 # -- chain config and genesis -------------------------------------------------
 
 

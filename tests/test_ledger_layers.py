@@ -6,9 +6,11 @@ require equality, in both transaction models, with a base small enough to
 collapse every few blocks and one too large to collapse in a test's blocks.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 from hashlib import sha256
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scorechain import core_types, ledger
@@ -29,7 +31,13 @@ from scorechain.core_types import (
     make_transaction,
 )
 from scorechain.incentive import RewardSchedule, make_coinbase_rule
-from scorechain.ledger import ChainState, TxIndices, fund_accounts, fund_utxos
+from scorechain.ledger import (
+    ChainState,
+    LedgerInvariantError,
+    TxIndices,
+    fund_accounts,
+    fund_utxos,
+)
 from scorechain.witness import WitnessSignature, mint_block, propose_block, sign_witness
 
 STUB = get_scheme("stub")
@@ -339,3 +347,169 @@ def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
         assert validated == []
         replay = replay_ancestry(ledger_state, block.block_hash, genesis)
         assert Plain.of(ledger_state.snapshots[block.block_hash]) == replay
+
+
+# -- the replay oracle and the value total, read through base and overlay -------------
+
+
+def plain_total(plain: Plain) -> int:
+    return sum(plain.balances.values()) + sum(out.amount for out in plain.utxos.values())
+
+
+def rebuilt(plain: Plain) -> TxIndices:
+    """The plain content as one fresh base with an empty overlay."""
+    return TxIndices(
+        dict(plain.balances), dict(plain.nonces), dict(plain.utxos), plain.issued, plain.burned
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(TxModel), large=st.booleans(), data=st.data())
+def test_snapshot_equality_and_total_value_match_plain_contents(model, large, data):
+    # stored snapshots share a base (large) or have collapsed onto their own
+    # (small); each one rebuilt as a fresh base has equal content on a
+    # different base, and UTXO overlays carry tombstones
+    genesis_indices = FUNDING[model, large]
+    genesis = Plain.of(genesis_indices)
+    state = ChainState(CFG, STUB, genesis_indices, coinbase_rule=RULES[model])
+    stored = [state.genesis.block_hash]
+    for _ in range(data.draw(st.integers(1, 8), label="blocks")):
+        parent = state.blocks[stored[data.draw(st.integers(0, len(stored) - 1))]]
+        work = replay_ancestry(state, parent.block_hash, genesis)
+        system_nonce = work.nonces.get(SYSTEM_ID, 0)
+        txs = draw_payments(data, model, work, data.draw(st.integers(4, 5)))
+        block = minted(parent, txs, data.draw(st.integers(0, 7)), model, system_nonce)
+        if state.apply_block(block).stored:
+            stored.append(block.block_hash)
+
+    snapshots = [state.snapshots[h] for h in stored]
+    plains = [Plain.of(s) for s in snapshots]
+    snapshots += [rebuilt(p) for p in plains] + [state.replay_from_genesis()]
+    plains += plains + [Plain.of(snapshots[-1])]
+    for a, plain_a in zip(snapshots, plains):
+        assert ledger.total_value(a) == plain_total(plain_a)
+        for b, plain_b in zip(snapshots, plains):
+            assert (a == b) is (plain_a == plain_b)
+
+
+def test_equality_tells_a_zero_balance_from_an_absent_account():
+    (_, a), (_, b) = PARTIES[:2]
+    funded = fund_accounts({a: 5})
+    assert TxIndices({a: 5, b: 0}, issued=5) != funded
+    assert funded != TxIndices({a: 5, b: 0}, issued=5)
+    assert TxIndices({a: 5}, issued=5) == funded
+    # the same content on the same base, once through the overlay
+    twin = funded.clone()
+    twin._balances[b.public_key] = 0
+    assert twin != funded and funded != twin
+    twin._balances[b.public_key] = 1
+    assert ledger.total_value(twin) == 6
+
+
+def payment(model: TxModel, work: Plain, sender: int, recipient: NodeId) -> Transaction:
+    """A valid payment on work (which it is applied to): 7 units, or one
+    output of the sender's less one unit, burned."""
+    secret, node = PARTIES[sender]
+    if model is TxModel.ACCOUNT:
+        body = AccountBody(recipient, 7, work.nonces.get(node, 0))
+    else:
+        op = next(op for op, out in work.utxos.items() if out.owner == node)
+        body = UtxoBody((op,), (TxOutput(recipient, work.utxos[op].amount - 1),))
+    tx = make_transaction(STUB, secret, node, body)
+    work.apply(tx)
+    return tx
+
+
+def paid_ledger(model: TxModel, genesis_indices: TxIndices, blocks: int) -> ChainState:
+    """A ledger with blocks of four payments each applied on one chain."""
+    state = ChainState(CFG, STUB, genesis_indices, coinbase_rule=RULES[model])
+    work = Plain.of(genesis_indices)
+    for height in range(blocks):
+        system_nonce = work.nonces.get(SYSTEM_ID, 0)
+        txs = [payment(model, work, (height + i) % 8, PAYEES[height + i]) for i in range(4)]
+        block = minted(state.head, txs, 0, model, system_nonce)
+        assert state.apply_block(block).stored
+        for tx in block.transactions[len(txs) :]:
+            work.apply(tx)
+    return state
+
+
+def test_the_oracle_allocates_nothing_per_account():
+    # merged copies of the maps on both sides would take about 5 MB here;
+    # with a shared base and with a collapsed head the check stays under 1 MB
+    nodes = [NodeId(sha256(b"oracle" + enc_u64(i)).digest()) for i in range(50_000)]
+    alloc = dict.fromkeys(nodes, 1000)
+    alloc.update({nid: 10**6 for _, nid in PARTIES})
+    state = paid_ledger(TxModel.ACCOUNT, fund_accounts(alloc), 3)
+    head = state.head_indices()
+    for collapsed in (False, True):
+        if collapsed:
+            head._collapse()
+        tracemalloc.start()
+        try:
+            state.assert_replay_matches()
+            assert ledger.total_value(head) == head.issued - head.burned
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (collapsed, peak)
+
+
+def unspent_grant(state: ChainState) -> Outpoint:
+    """A filler's genesis output, never spent."""
+    node = FILLER[5]
+    return next(op for op, out in state._genesis_indices.utxos.items() if out.owner == node)
+
+
+# (model, collapse the head first, corruption, expected field, its key)
+CORRUPTIONS = {
+    "issued": (TxModel.ACCOUNT, False, lambda s, h: setattr(h, "issued", h.issued + 1), "issued"),
+    "burned": (TxModel.UTXO, False, lambda s, h: setattr(h, "burned", h.burned + 1), "burned"),
+    "balance": (
+        TxModel.ACCOUNT,
+        False,
+        lambda s, h: h._balances.__setitem__(PAYEES[1].public_key, 1),
+        f"balances[{PAYEES[1].public_key.hex()}]",
+    ),
+    "nonce": (
+        TxModel.ACCOUNT,
+        False,
+        lambda s, h: h._nonces.__setitem__(PARTIES[3][1].public_key, 9),
+        f"nonces[{PARTIES[3][1].public_key.hex()}]",
+    ),
+    "spent output": (
+        TxModel.UTXO,
+        False,
+        lambda s, h: h._utxos.__setitem__(unspent_grant(s), None),
+        "utxos[{op.tx_id:x}:{op.index}]",
+    ),
+    "balance in a collapsed base": (
+        TxModel.ACCOUNT,
+        True,
+        lambda s, h: h._balances_base.__setitem__(FILLER[5].public_key, 1),
+        f"balances[{FILLER[5].public_key.hex()}]",
+    ),
+    "output missing from a collapsed base": (
+        TxModel.UTXO,
+        True,
+        lambda s, h: h._utxos_base.pop(unspent_grant(s)),
+        "utxos[{op.tx_id:x}:{op.index}]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_the_oracle_names_the_first_divergence(case):
+    model, collapse, corrupt, where = CORRUPTIONS[case]
+    state = paid_ledger(model, FUNDING[model, True], 2)
+    state.assert_replay_matches()
+    head = state.head_indices()
+    if collapse:
+        head._collapse()  # a fresh base that only this snapshot holds
+    corrupt(state, head)
+    assert state.replay_from_genesis() != head
+    if model is TxModel.UTXO:
+        where = where.format(op=unspent_grant(state))
+    with pytest.raises(LedgerInvariantError) as raised:
+        state.assert_replay_matches()
+    assert str(raised.value) == f"incremental indices diverged from genesis replay at {where}"
