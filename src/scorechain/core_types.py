@@ -287,10 +287,6 @@ class Transaction:
         object.__setattr__(self, "canonical_bytes", full)
         object.__setattr__(self, "tx_id", hash256(full))
 
-    @property
-    def model(self) -> TxModel:
-        return _body_model(self.body)
-
     def is_coinbase(self) -> bool:
         return self.sender.public_key == SYSTEM_KEY
 

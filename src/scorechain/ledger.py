@@ -111,7 +111,10 @@ _AMOUNT = attrgetter("amount")
 
 
 def _merged(base: dict, overlay: dict) -> dict:
-    """base overlaid by overlay, where a None value deletes the key."""
+    """base overlaid by overlay, where a None value deletes the key; base
+    itself when overlay is empty, so an untouched map keeps sharing its base."""
+    if not overlay:
+        return base
     merged = dict(base)
     for key, value in overlay.items():
         if value is None:
@@ -467,15 +470,6 @@ _ORPHANED = ApplyResult(ApplyStatus.ORPHANED)
 _BY_STATUS = {status: ApplyResult(status) for status in ApplyStatus}
 
 
-@dataclass(frozen=True, slots=True)
-class ForkWinMsg:
-    """Announcement that the sender switched to a winning branch."""
-
-    branch_first_block: int
-    branch_head: int
-    sender: NodeId
-
-
 @dataclass
 class ChainStats:
     applies: int = 0
@@ -535,7 +529,7 @@ class ChainState:
         self.snapshots = snapshot_store if snapshot_store is not None else {}
         self.snapshots.setdefault(g, base)
         self.verdicts = verdict_cache if verdict_cache is not None else {}
-        self.fork_events: list[tuple[int, int]] = []  # (first block, new head)
+        self.fork_events: list[int] = []  # the head after each branch switch
 
         # block hash -> (stats.applies when buffered, block), in buffer order
         self._orphans: dict[int, tuple[int, Block]] = {}
@@ -804,24 +798,24 @@ class ChainState:
         chain = self._follow()
         old = self.main_by_height
         new_head_hash = chain[max(chain)]
-        diverged: "int | None" = None
+        switched = False
         limit = min(max(chain), max(old))
         for height in range(1, limit + 1):
             if old.get(height) != chain.get(height):
-                diverged = height
+                switched = True
                 break
         self.main_by_height = chain
         self.head = self.blocks[new_head_hash]
         on_main = chain.get(inserted.height) == h
-        if diverged is not None:
+        if switched:
             self.stats.switches += 1
-            self.fork_events.append((chain[diverged], new_head_hash))
+            self.fork_events.append(new_head_hash)
             if self.replay_check:
                 self.assert_replay_matches()
             return ApplyStatus.SWITCHED if on_main else ApplyStatus.SIDE_BRANCH
         return ApplyStatus.ACCEPTED if on_main else ApplyStatus.SIDE_BRANCH
 
-    def pop_fork_events(self) -> list[tuple[int, int]]:
+    def pop_fork_events(self) -> list[int]:
         events, self.fork_events = self.fork_events, []
         return events
 

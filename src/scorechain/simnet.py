@@ -27,8 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
-import numpy as np
-
 from .analysis import SafetyParams, misled_exponent, pr_invalid_witnessed, wilson_interval
 from .core_types import (
     AccountBody,
@@ -50,7 +48,6 @@ from .incentive import RewardSchedule, make_coinbase_rule
 from .ledger import (
     ApplyStatus,
     ChainState,
-    ForkWinMsg,
     TxIndices,
     confirmed_conflicts,
     fund_accounts,
@@ -289,7 +286,7 @@ class BlockGossip:
 
 @dataclass(frozen=True, slots=True)
 class ForkWinGossip:
-    msg: ForkWinMsg
+    branch_head: int  # head of the branch the sender switched to
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,16 +524,16 @@ class HonestNode:
             self.record_confirmations()
 
     def emit_fork_wins(self) -> None:
-        for first, head in self.state.pop_fork_events():
-            msg = ForkWinMsg(first, head, self.node_id)
+        for head in self.state.pop_fork_events():
+            gossip = ForkWinGossip(head)
             for _ in range(1 + self.sim.cfg.fork_win_extra):
                 self.sim.report.fork_win_msgs += 1
-                self.sim.broadcast(self.index, ForkWinGossip(msg))
+                self.sim.broadcast(self.index, gossip)
 
     def on_fork_win(self, gossip: ForkWinGossip, from_idx: int) -> None:
         # admission keeps the followed chain current, so a known branch head
         # needs nothing more; an unknown one is pulled from the announcer
-        head = gossip.msg.branch_head
+        head = gossip.branch_head
         if not self.state.has_block(head):
             self.sim.send(self.index, from_idx, PullReq(head))
 
@@ -1083,28 +1080,28 @@ class MissModelResult:
     exponent: int
 
 
-def run_miss_model(
-    params: SafetyParams, trials: int, seed: int = 0, chunk: int = 50_000
-) -> MissModelResult:
-    """Draw K Bernoulli deliveries per trial; misled iff all K are lost.
+def run_miss_model(params: SafetyParams, trials: int, seed: int = 0) -> MissModelResult:
+    """Draw up to K Bernoulli deliveries per trial; misled iff all K are lost.
 
-    This is the executable form of the delivery-independence assumption the
-    closed formula rests on, kept separate from it so the two can be checked
-    against each other.
+    Each trial draws from one seeded `random.Random` until the first delivery
+    (a draw below r) and is misled only if all K draws are losses, so it costs
+    about 1/r draws. This is the executable form of the delivery-independence
+    assumption the closed formula rests on, kept separate from it so the two
+    can be checked against each other.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = misled_exponent(params.m, params.n_c, params.l)
-    if params.r == 1.0:
-        return MissModelResult(0.0, 0, trials, k)
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).random
+    r = params.r
+    draws = range(k)
     misled = 0
-    remaining = trials
-    while remaining > 0:
-        n = min(chunk, remaining)
-        draws = rng.random((n, k))
-        misled += int((draws >= params.r).all(axis=1).sum())
-        remaining -= n
+    for _ in range(trials):
+        for _ in draws:
+            if draw() < r:
+                break
+        else:
+            misled += 1
     return MissModelResult(misled / trials, misled, trials, k)
 
 

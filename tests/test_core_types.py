@@ -160,7 +160,7 @@ def test_account_tx_round_trip():
     again = deserialize_transaction(tx.canonical_bytes)
     assert again == tx
     assert again.tx_id == tx.tx_id
-    assert again.model is TxModel.ACCOUNT
+    assert type(again.body) is AccountBody
     assert again.body.amount == 42
     assert again.body.nonce == 3
 
@@ -169,7 +169,7 @@ def test_utxo_tx_round_trip():
     tx = utxo_tx(b"s", b"r", tx_id=99, amount=17)
     again = deserialize_transaction(tx.canonical_bytes)
     assert again == tx
-    assert again.model is TxModel.UTXO
+    assert type(again.body) is UtxoBody
     assert again.body.inputs == (Outpoint(99, 0),)
     assert again.body.outputs[0].amount == 17
 

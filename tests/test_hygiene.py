@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package modules is used, every
+"""Source hygiene: every import in the package modules is used and comes
+from the standard library, ``cryptography`` or the package itself, every
 private function, method or class is named somewhere besides its definition,
 every public one is named by the package, the benchmark or the README's
 library examples, and every enum member is named as ``Class.MEMBER``
@@ -14,7 +15,10 @@ package module or a non-test ``perfbench`` module loads it, or when a
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,20 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
                 if alias.name != "*":
                     bound[alias.asname or alias.name] = node.lineno
     return bound
+
+
+def imported_modules(tree: ast.Module) -> dict[str, int]:
+    """The top-level name of each module imported, with the line that imports
+    it; a relative import counts as the package itself."""
+    found: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            name = "scorechain" if node.level else node.module.split(".")[0]
+            found.setdefault(name, node.lineno)
+    return found
 
 
 def annotations(tree: ast.Module):
@@ -156,6 +174,56 @@ def test_checker_sees_string_annotations_and_unused_names():
         "    pass\n"
     )
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["Sequence", "json"]
+
+
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"cryptography", "scorechain"}
+
+
+def test_imports_are_stdlib_or_cryptography():
+    outside = sorted(
+        f"{path.name}:{line} {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, line in imported_modules(ast.parse(path.read_text())).items()
+        if module not in ALLOWED_IMPORTS
+    )
+    assert not outside, "imports outside stdlib and cryptography: " + ", ".join(outside)
+
+
+def test_checker_sees_every_imported_module():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from cryptography.hazmat.primitives import hashes\n"
+        "from .core_types import Block\n"
+        "def f() -> None:\n"
+        "    import scipy.stats\n"
+    )
+    assert imported_modules(tree) == {
+        "__future__": 1,
+        "numpy": 2,
+        "os": 3,
+        "cryptography": 4,
+        "scorechain": 5,
+        "scipy": 7,
+    }
+    assert sorted(set(imported_modules(tree)) - ALLOWED_IMPORTS) == ["numpy", "scipy"]
+
+
+def test_simulator_and_cli_import_no_numpy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, scorechain.simnet, scorechain.cli; print('numpy' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "False"
 
 
 def test_no_unreferenced_private_definitions():

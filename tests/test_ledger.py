@@ -612,7 +612,7 @@ def test_fork_events_surface_switches_once():
     assert state.pop_fork_events() == []
     state.apply_block(winner)
     events = state.pop_fork_events()
-    assert events == [(winner.block_hash, winner.block_hash)]
+    assert events == [winner.block_hash]
     assert state.pop_fork_events() == []
 
 

@@ -290,6 +290,26 @@ def test_clone_collapses_exactly_past_the_rule():
         assert Plain.of(indices) == Plain.of(twin) == content
 
 
+@pytest.mark.parametrize(
+    "model, blocks, written, untouched",
+    [
+        (TxModel.ACCOUNT, 16, "_balances_base", ["_utxos_base"]),
+        (TxModel.UTXO, 6, "_utxos_base", ["_balances_base", "_nonces_base"]),
+    ],
+    ids=["ACCOUNT", "UTXO"],
+)
+def test_collapse_keeps_the_base_of_an_untouched_map(model, blocks, written, untouched):
+    # account payments never write the UTXO map, and UTXO payments never
+    # write balances or nonces: once the written map's overlay has collapsed
+    # into a fresh base, every snapshot still shares the genesis base of the rest
+    genesis = FUNDING[model, False]
+    snapshots = paid_ledger(model, genesis, blocks).snapshots.values()
+    assert any(getattr(s, written) is not getattr(genesis, written) for s in snapshots)
+    for snapshot in snapshots:
+        for name in untouched:
+            assert getattr(snapshot, name) is getattr(genesis, name), name
+
+
 def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
     model = TxModel.ACCOUNT
     genesis = Plain.of(FUNDING[model, False])

@@ -1,6 +1,7 @@
 """Event-driven network simulation: config, determinism, attacks, Monte Carlo."""
 
 import json
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -483,6 +484,18 @@ def test_miss_model_lossless_edge():
     assert result.frequency == 0.0
     with pytest.raises(ValueError):
         run_miss_model(SafetyParams(m=1, n_c=1), trials=0)
+
+
+def test_miss_model_command_writes_its_result(tmp_path, capsys):
+    assert cli_main(["miss-model", "--trials", "20000", "--out", str(tmp_path)]) == 0
+    assert "K=16" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "miss_model.json").read_text())
+    assert sorted(payload) == ["analytic", "empirical", "exponent", "l", "m", "n_c", "r", "trials"]
+    assert payload["exponent"] == 16
+    assert payload["trials"] == 20_000
+    p = payload["analytic"]
+    assert p == pytest.approx(0.8**16)
+    assert abs(payload["empirical"] - p) <= 4 * math.sqrt(p * (1 - p) / 20_000)
 
 
 # -- witness-corruption Monte Carlo ------------------------------------------------------------------
