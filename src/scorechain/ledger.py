@@ -139,9 +139,10 @@ class TxIndices:
 
     clone() copies only the overlay and shares the base. Once the overlay
     holds so many written keys that written**2 > 64 * (base size + 1),
-    clone() first collapses the snapshot being cloned in place: its overlay
-    is merged into a fresh base, which the clone then shares. The content
-    does not change, so a snapshot shared through a store stays valid. The
+    clone() first collapses the snapshot being cloned in place: each map's
+    overlay is merged into a fresh base, which the clone then shares, and a
+    map whose overlay is empty keeps its base object. The content does not
+    change, so a snapshot shared through a store stays valid. The
     rule keeps the overlay under about 8 * sqrt(base size) entries, which
     balances the overlay copied on every clone against the base copied on
     each collapse: a small state collapses every few blocks of fresh keys, a
@@ -209,7 +210,11 @@ class TxIndices:
         return twin
 
     def _collapse(self) -> None:
-        """Merge the overlay into a fresh base, in place; content is unchanged."""
+        """Merge each overlay into a fresh base, in place; content is unchanged.
+
+        A map whose overlay is empty keeps its base object (bases are never
+        written), so snapshots keep sharing the bases nobody wrote to.
+        """
         self._balances_base = _merged(self._balances_base, self._balances)
         self._nonces_base = _merged(self._nonces_base, self._nonces)
         self._utxos_base = _merged(self._utxos_base, self._utxos)

@@ -1084,8 +1084,9 @@ def run_miss_model(params: SafetyParams, trials: int, seed: int = 0) -> MissMode
     """Draw up to K Bernoulli deliveries per trial; misled iff all K are lost.
 
     Each trial draws from one seeded `random.Random` until the first delivery
-    (a draw below r) and is misled only if all K draws are losses, so it costs
-    about 1/r draws. This is the executable form of the delivery-independence
+    (a draw below r) and is misled only if all K draws are losses, so a run
+    costs about trials * min(K, 1/r) interpreter-level draws: slow for a small
+    r with a large K. This is the executable form of the delivery-independence
     assumption the closed formula rests on, kept separate from it so the two
     can be checked against each other.
     """
