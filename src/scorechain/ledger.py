@@ -43,6 +43,7 @@ from .core_types import (
     Transaction,
     TxOutput,
     UtxoBody,
+    _Reader,
     candidate_of,
     deserialize_block,
     enc_bytes,
@@ -59,6 +60,8 @@ from .scoring import block_score, sort_key
 from .witness import is_eligible_witness
 
 REC_CHAIN_FILE = 0x10
+# blocks a node buffers while their parents are unknown; the oldest goes first
+MAX_ORPHANS = 256
 
 
 class LedgerInvariantError(AssertionError):
@@ -477,10 +480,8 @@ _BY_STATUS = {status: ApplyResult(status) for status in ApplyStatus}
 
 @dataclass
 class ChainStats:
-    applies: int = 0
     switches: int = 0
-    rejects: int = 0
-    orphans_expired: int = 0
+    orphans_expired: int = 0  # orphans evicted to keep the pool at MAX_ORPHANS
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +491,10 @@ class ChainStats:
 
 class ChainState:
     """Single-writer block tree plus the followed-chain selection.
+
+    A block whose parent is unknown waits in an orphan pool until the parent
+    is stored, however long that takes. The pool is bounded by count alone:
+    a new orphan arriving at MAX_ORPHANS evicts the oldest.
 
     snapshot_store and verdict_cache may be shared by several ChainStates in
     one simulated network (same genesis allocation and parameters): verdicts
@@ -508,8 +513,6 @@ class ChainState:
         genesis_indices: "TxIndices | None" = None,
         *,
         coinbase_rule: "CoinbaseRule | None" = None,
-        orphan_timeout: int = 512,
-        max_orphans: int = 256,
         replay_check: bool = False,
         snapshot_store: "dict | None" = None,
         verdict_cache: "dict | None" = None,
@@ -518,8 +521,6 @@ class ChainState:
         self.scheme = scheme
         self.genesis = genesis_block(cfg)
         self.coinbase_rule = coinbase_rule
-        self.orphan_timeout = orphan_timeout
-        self.max_orphans = max_orphans
         self.replay_check = replay_check
         self.stats = ChainStats()
 
@@ -536,8 +537,8 @@ class ChainState:
         self.verdicts = verdict_cache if verdict_cache is not None else {}
         self.fork_events: list[int] = []  # the head after each branch switch
 
-        # block hash -> (stats.applies when buffered, block), in buffer order
-        self._orphans: dict[int, tuple[int, Block]] = {}
+        # block hash -> block, in buffer order
+        self._orphans: dict[int, Block] = {}
 
     # -- views ---------------------------------------------------------------
 
@@ -576,22 +577,20 @@ class ChainState:
     # -- block admission ------------------------------------------------------
 
     def apply_block(self, block: Block) -> ApplyResult:
-        self.stats.applies += 1
-        if self.stats.applies % 32 == 0:
-            self._prune_orphans()
         h = block.block_hash
         if h in self.blocks or h in self._orphans:
             return _DUPLICATE
         if block.height == 0:
-            self.stats.rejects += 1
             return ApplyResult(ApplyStatus.REJECTED, BlockReject.BAD_STRUCTURE)
         parent = self.blocks.get(block.parent_hash)
         if parent is None:
-            self._buffer_orphan(block)
+            if len(self._orphans) >= MAX_ORPHANS:
+                del self._orphans[next(iter(self._orphans))]
+                self.stats.orphans_expired += 1
+            self._orphans[h] = block
             return _ORPHANED
         reason = self._full_validate(block, parent)
         if reason is not None:
-            self.stats.rejects += 1
             return ApplyResult(ApplyStatus.REJECTED, reason)
         self._insert(block)
         status = self._reselect(block)
@@ -721,33 +720,11 @@ class ChainState:
 
     # -- orphan pool -------------------------------------------------------------
 
-    def _buffer_orphan(self, block: Block) -> None:
-        if self._orphans and len(self._orphans) >= self.max_orphans:
-            self._discard_orphan(next(iter(self._orphans)))
-        self._orphans[block.block_hash] = (self.stats.applies, block)
-
-    def _discard_orphan(self, h: int) -> None:
-        del self._orphans[h]
-        self.stats.orphans_expired += 1
-
-    def _prune_orphans(self) -> None:
-        horizon = self.stats.applies - self.orphan_timeout
-        while self._orphans:
-            h, (buffered_at, _) = next(iter(self._orphans.items()))
-            if buffered_at >= horizon:
-                return
-            self._discard_orphan(h)
-
     def _drain_orphans(self, parent_hash: int) -> None:
-        """Apply the orphans waiting on parent_hash, in buffer order.
-
-        Each stays in the pool until its turn, so a prune run by an earlier
-        apply of the drain counts it as expired; it is applied all the same,
-        since its parent is now stored.
-        """
-        waiting = [b for _, b in self._orphans.values() if b.parent_hash == parent_hash]
+        """Apply the orphans waiting on parent_hash, in buffer order."""
+        waiting = [b for b in self._orphans.values() if b.parent_hash == parent_hash]
         for block in waiting:
-            self._orphans.pop(block.block_hash, None)
+            del self._orphans[block.block_hash]
             self.apply_block(block)
 
     # -- fork choice -------------------------------------------------------------
@@ -873,20 +850,11 @@ class ChainState:
         (such as `coinbase_rule`) go to the constructor.
         """
         with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < 6 or data[0] != FORMAT_TAG or data[1] != REC_CHAIN_FILE:
+            reader = _Reader(fh.read())
+        if reader.u8() != FORMAT_TAG or reader.u8() != REC_CHAIN_FILE:
             raise SerializationError("not a chain file")
-        count = int.from_bytes(data[2:6], "big")
-        pos = 6
-        blocks = []
-        for _ in range(count):
-            if pos + 4 > len(data):
-                raise SerializationError("truncated chain file")
-            size = int.from_bytes(data[pos : pos + 4], "big")
-            pos += 4
-            blocks.append(deserialize_block(data[pos : pos + size]))
-            pos += size
-        if pos != len(data):
+        blocks = [deserialize_block(reader.var_bytes()) for _ in range(reader.u32())]
+        if not reader.done():
             raise SerializationError("trailing bytes in chain file")
         state = cls(cfg, scheme, genesis_indices, **kwargs)
         if not blocks or blocks[0].block_hash != state.genesis.block_hash:

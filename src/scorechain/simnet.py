@@ -406,21 +406,28 @@ class HonestNode:
 
     # -- wallet ------------------------------------------------------------
 
+    def pay(self, recipient: NodeId, amount: int, source: "int | Outpoint") -> Transaction:
+        """This node's signed payment of amount to recipient, drawn on account
+        nonce `source`, or spending the one output `source` in the UTXO model."""
+        if isinstance(source, Outpoint):
+            body = UtxoBody((source,), (TxOutput(recipient, amount),))
+        else:
+            body = AccountBody(recipient, amount, source)
+        return make_transaction(self.sim.scheme, self.secret, self.node_id, body)
+
     def build_payment(self) -> "Transaction | None":
         sim = self.sim
         recipient = sim.node_ids[sim.rng.randrange(sim.cfg.n_nodes)]
         if recipient == self.node_id:
             recipient = sim.node_ids[(self.index + 1) % sim.cfg.n_nodes]
         if sim.cfg.tx_model is TxModel.ACCOUNT:
-            amount = sim.rng.randint(1, 3)
-            body = AccountBody(recipient, amount, self.wallet_nonce)
+            tx = self.pay(recipient, sim.rng.randint(1, 3), self.wallet_nonce)
             self.wallet_nonce += 1
-            return make_transaction(sim.scheme, self.secret, self.node_id, body)
+            return tx
         if not self.wallet_grants:
             return None
         outpoint, amount = self.wallet_grants.popleft()
-        body = UtxoBody((outpoint,), (TxOutput(recipient, amount),))
-        return make_transaction(sim.scheme, self.secret, self.node_id, body)
+        return self.pay(recipient, amount, outpoint)
 
     def inject_tx(self) -> None:
         tx = self.build_payment()
@@ -621,31 +628,14 @@ class DoubleSpendAdversary(AdversaryNode):
         to_a = victims[sim.rng.randrange(len(victims))]
         to_b = victims[sim.rng.randrange(len(victims))]
         if sim.cfg.tx_model is TxModel.ACCOUNT:
-            nonce = self.wallet_nonce
+            source, amount_a, amount_b = self.wallet_nonce, 1, 2
             self.wallet_nonce += 1
-            tx_a = make_transaction(
-                sim.scheme, self.secret, self.node_id, AccountBody(to_a, 1, nonce)
-            )
-            tx_b = make_transaction(
-                sim.scheme, self.secret, self.node_id, AccountBody(to_b, 2, nonce)
-            )
-            return tx_a, tx_b
-        if not self.wallet_grants:
+        elif self.wallet_grants:
+            source, amount_a = self.wallet_grants.popleft()
+            amount_b = amount_a
+        else:
             return None
-        outpoint, amount = self.wallet_grants.popleft()
-        tx_a = make_transaction(
-            sim.scheme,
-            self.secret,
-            self.node_id,
-            UtxoBody((outpoint,), (TxOutput(to_a, amount),)),
-        )
-        tx_b = make_transaction(
-            sim.scheme,
-            self.secret,
-            self.node_id,
-            UtxoBody((outpoint,), (TxOutput(to_b, amount),)),
-        )
-        return tx_a, tx_b
+        return self.pay(to_a, amount_a, source), self.pay(to_b, amount_b, source)
 
 
 class EquivocateAdversary(AdversaryNode):
@@ -710,11 +700,8 @@ class InvalidPushAdversary(AdversaryNode):
         sim = self.sim
         recipient = sim.node_ids[(self.index + 1) % sim.cfg.n_nodes]
         if sim.cfg.tx_model is TxModel.ACCOUNT:
-            body = AccountBody(recipient, 1, self.wallet_nonce + 9999)
-            return make_transaction(sim.scheme, self.secret, self.node_id, body)
-        ghost = Outpoint(tx_id=self.sim.rng.getrandbits(256), index=0)
-        body = UtxoBody((ghost,), (TxOutput(recipient, 1),))
-        return make_transaction(sim.scheme, self.secret, self.node_id, body)
+            return self.pay(recipient, 1, self.wallet_nonce + 9999)
+        return self.pay(recipient, 1, Outpoint(tx_id=sim.rng.getrandbits(256), index=0))
 
     def mint_and_adopt(self, pending: _Pending, sig: WitnessSignature) -> bool:
         if not super().mint_and_adopt(pending, sig):

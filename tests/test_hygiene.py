@@ -8,10 +8,12 @@ somewhere in the package.
 Stdlib only. A name counts as used when it is loaded anywhere in the module,
 including inside a string annotation such as ``"TxIndices | None"``. A
 private definition (one ``_`` prefix, not a dunder) counts as used when any
-package module loads it as a name or an attribute. A public definition (a
-module-level function or class, or a method of one) counts as used when a
-package module or a non-test ``perfbench`` module loads it, or when a
-``python`` block of README "Library use" names it; those blocks must run.
+package module loads it as a name or an attribute. A public module-level
+function or class counts as used when a package module or a non-test
+``perfbench`` module loads it, or when a ``python`` block of README "Library
+use" names it; those blocks must run. A public method or property of such a
+class counts as used only when one of those loads it as an attribute
+(``.name``), so a local variable or parameter of the same name does not.
 """
 
 import ast
@@ -93,15 +95,18 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each public module-level function or class, and each public method of
-    a module-level class, with its line."""
+    """Each public module-level function or class, by name, and each public
+    method or property of a module-level class, as ``Class.name``, with its
+    line."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found: dict[str, int] = {}
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            found.update(public_definitions(node))
         if isinstance(node, kinds) and not node.name.startswith("_"):
             found[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds) and not member.name.startswith("_"):
+                    found[f"{node.name}.{member.name}"] = member.lineno
     return found
 
 
@@ -136,6 +141,15 @@ def member_references(tree: ast.Module) -> set[tuple[str, str]]:
     }
 
 
+def loaded_attributes(tree: ast.Module) -> set[str]:
+    """Each attribute loaded as ``.name``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return used_names(tree) | attributes
@@ -144,13 +158,20 @@ def referenced_names(tree: ast.Module) -> set[str]:
 def unused_public_definitions(
     defining: dict[str, ast.Module], users: list[ast.Module]
 ) -> list[str]:
-    """Each public definition in `defining` that no tree in `users` names."""
+    """Each public definition in `defining` that no tree in `users` uses: a
+    module-level one by any reference, a member only by an attribute load."""
     referenced = set().union(*(referenced_names(tree) for tree in users))
+    attributes = set().union(*(loaded_attributes(tree) for tree in users))
+
+    def used(defined: str) -> bool:
+        cls, _, member = defined.rpartition(".")
+        return member in attributes if cls else defined in referenced
+
     return sorted(
         f"{name}:{line} {defined}"
         for name, tree in defining.items()
         for defined, line in public_definitions(tree).items()
-        if defined not in referenced
+        if not used(defined)
     )
 
 
@@ -320,20 +341,31 @@ def test_checker_sees_public_definitions_and_their_users():
         "    pass\n"
         "def documented() -> None:\n"
         "    pass\n"
+        "class Brush:\n"
+        "    @property\n"
+        "    def colour(self) -> str:\n"
+        "        return 'red'\n"
+        "def paint(colour: str) -> str:\n"
+        "    return colour\n"
     )
     assert sorted(public_definitions(tree)) == [
+        "Brush",
+        "Brush.colour",
         "Shape",
-        "area",
+        "Shape.area",
+        "Shape.perimeter",
         "documented",
         "make",
         "orphan",
-        "perimeter",
+        "paint",
     ]
-    caller = ast.parse("print(make().area())\n")
+    caller = ast.parse("print(make().area(), paint(Brush))\n")
     example = ast.parse("from shapes import documented\ndocumented()\n")
+    # a parameter named like a property is not a use of the property
     assert unused_public_definitions({"shapes.py": tree}, [tree, caller, example]) == [
         "shapes.py:13 orphan",
-        "shapes.py:8 perimeter",
+        "shapes.py:19 Brush.colour",
+        "shapes.py:8 Shape.perimeter",
     ]
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from scorechain import ledger
 from scorechain.core_types import (
     AccountBody,
     Block,
@@ -210,7 +211,6 @@ def test_apply_block_accepts_and_advances_head():
     assert state.head is block
     assert state.height == 1
     assert state.main_by_height[block.height] == block.block_hash
-    assert state.stats.applies == 1
 
 
 def test_apply_block_rejects_duplicates():
@@ -240,7 +240,6 @@ def test_apply_block_structural_rejects():
 
     thin = minted(g, 1, txs[:3], parties)
     assert state.apply_block(thin).reason is BlockReject.TOO_FEW_TXS
-    assert state.stats.rejects == 4
 
 
 def test_apply_block_witness_rejects():
@@ -442,28 +441,28 @@ def test_orphan_buffered_then_drained():
     assert state.head is b2
 
 
-def test_orphan_expires_after_timeout():
+def test_orphan_waits_for_its_parent_however_many_applies_pass():
     parties = keys(8)
-    state = fresh_state(parties, orphan_timeout=8)
+    state = fresh_state(parties)
     g = state.genesis.block_hash
     b1 = minted(g, 1, payments(parties[:4], 4), parties)
     b2 = minted(b1.block_hash, 2, payments(parties[4:], 4), parties)
     assert state.apply_block(b2).status is ApplyStatus.ORPHANED
 
-    # each apply counts as one op; pruning runs every 32 ops
     filler = minted(g, 1, payments(parties[:4], 5), parties)
-    state.apply_block(filler)
-    for _ in range(40):
-        state.apply_block(filler)  # duplicates still advance the op counter
-    assert state.stats.orphans_expired == 1
+    assert state.apply_block(filler).stored
+    for _ in range(600):
+        assert state.apply_block(filler).reason is BlockReject.DUPLICATE
 
-    # a discarded orphan that arrives again is buffered again
-    assert state.apply_block(b2).status is ApplyStatus.ORPHANED
+    assert state.apply_block(b1).stored
+    assert state.has_block(b2.block_hash)  # drained from the pool and stored
+    assert state.stats.orphans_expired == 0
 
 
-def test_orphan_pool_capacity_evicts_oldest():
+def test_orphan_pool_capacity_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(ledger, "MAX_ORPHANS", 1)
     parties = keys(8)
-    state = fresh_state(parties, max_orphans=1)
+    state = fresh_state(parties)
     first = minted(11111, 1, payments(parties[:4], 4), parties)
     second = minted(22222, 1, payments(parties[4:], 4), parties)
     assert state.apply_block(first).status is ApplyStatus.ORPHANED
@@ -472,9 +471,10 @@ def test_orphan_pool_capacity_evicts_oldest():
     assert state.apply_block(first).status is ApplyStatus.ORPHANED
 
 
-def test_orphan_pool_capacity_skips_drained_orphans():
+def test_orphan_pool_capacity_skips_drained_orphans(monkeypatch):
+    monkeypatch.setattr(ledger, "MAX_ORPHANS", 2)
     parties = keys(8)
-    state = fresh_state(parties, max_orphans=2)
+    state = fresh_state(parties)
     parent = minted(state.genesis.block_hash, 1, payments(parties[:4], 4), parties)
     o1 = minted(parent.block_hash, 2, payments(parties[4:], 4), parties)
     assert state.apply_block(o1).status is ApplyStatus.ORPHANED
