@@ -61,7 +61,10 @@ def _load_config(path: "str | None", seed: "int | None") -> SimConfig:
 
 def _ensure_out(path: "str | None") -> "str | None":
     if path is not None:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise SimConfigError("out", f"cannot create directory {path}: {exc.strerror}") from None
     return path
 
 
@@ -76,8 +79,8 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
-    report = run_simulation(cfg)
     out_dir = _ensure_out(args.out)
+    report = run_simulation(cfg)
     if out_dir:
         _write(out_dir, "config.json", json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         _write(out_dir, "report.json", report.to_json())
@@ -92,8 +95,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_trials(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
-    result = run_trials(cfg, args.trials, jobs=args.jobs)
     out_dir = _ensure_out(args.out)
+    result = run_trials(cfg, args.trials, jobs=args.jobs)
     if out_dir:
         _write(out_dir, "config.json", json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         _write(out_dir, "trials.json", result.to_json())
@@ -107,14 +110,14 @@ def cmd_trials(args: argparse.Namespace) -> int:
 
 def cmd_miss_model(args: argparse.Namespace) -> int:
     params = SafetyParams(m=args.m, n_c=args.nc, l=args.l, r=args.r)
+    out_dir = _ensure_out(args.out)
     result = run_miss_model(params, args.trials, seed=args.seed)
     analytic = pr_misled(params)
     print(
         f"K={result.exponent} analytic={analytic:.9g} "
         f"empirical={result.frequency:.9g} ({result.misled}/{result.trials})"
     )
-    if args.out:
-        out_dir = _ensure_out(args.out)
+    if out_dir:
         payload = {
             "m": args.m,
             "n_c": args.nc,
@@ -130,6 +133,7 @@ def cmd_miss_model(args: argparse.Namespace) -> int:
 
 
 def cmd_corruption(args: argparse.Namespace) -> int:
+    out_dir = _ensure_out(args.out)
     result = witness_corruption_trials(
         args.attempts, args.q, args.m, n_keys=args.keys, seed=args.seed
     )
@@ -138,8 +142,7 @@ def cmd_corruption(args: argparse.Namespace) -> int:
         f"witnessed={result.witnessed_rate:.6g} ({result.witnessed}/{result.attempts}) "
         f"adversarial-slot rate={result.adversarial_slot_rate:.4f}"
     )
-    if args.out:
-        out_dir = _ensure_out(args.out)
+    if out_dir:
         payload = {
             "q": result.q,
             "m": result.m,

@@ -7,7 +7,9 @@ depth, the longest branch wins regardless of scores (equal lengths fall back
 to the score rule on the branches' first blocks); below the confirmation
 depth, the branch whose first block has the lower score wins. Because the
 rule looks only at the block tree, any two nodes holding the same blocks
-follow the same path, whatever order the blocks arrived in.
+follow the same path, whatever order the blocks arrived in. An insert
+re-decides the path from its lowest ancestor on it; a walk deciding every
+fork point from genesis is kept only as the replay check's oracle.
 
 Every stored block keeps a snapshot of the live state (balances, nonces and
 unspent outputs; no spent-output history) after it, so switching branches is
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat, zip_longest
 from operator import attrgetter, is_not
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -530,7 +532,7 @@ class ChainState:
         self.blocks: dict[int, Block] = {g: self.genesis}
         self.children: dict[int, list[int]] = {}
         self.blocks_at_height: dict[int, list[int]] = {0: [g]}
-        self.main_by_height: dict[int, int] = {0: g}
+        self.main_by_height: list[int] = [g]  # the followed chain, by height
         self.head: Block = self.genesis
         self.snapshots = snapshot_store if snapshot_store is not None else {}
         self.snapshots.setdefault(g, base)
@@ -565,14 +567,11 @@ class ChainState:
         return min(block_score(self.blocks[h]) for h in hashes)
 
     def main_chain(self) -> list[Block]:
-        return [
-            self.blocks[self.main_by_height[h]] for h in range(self.head.height + 1)
-        ]
+        return [self.blocks[h] for h in self.main_by_height]
 
     def confirmed_prefix(self) -> list[int]:
         """Hashes of followed-chain blocks buried at least confirm_depth deep."""
-        last = max(0, self.head.height - self.cfg.confirm_depth)
-        return [self.main_by_height[h] for h in range(last + 1)]
+        return self.main_by_height[: max(1, len(self.main_by_height) - self.cfg.confirm_depth)]
 
     # -- block admission ------------------------------------------------------
 
@@ -730,16 +729,11 @@ class ChainState:
     # -- fork choice -------------------------------------------------------------
 
     def _subtree_max_height(self, root_hash: int) -> int:
-        best = self.blocks[root_hash].height
-        stack = [root_hash]
-        while stack:
-            cur = stack.pop()
-            kids = self.children.get(cur)
-            if not kids:
-                best = max(best, self.blocks[cur].height)
-                continue
-            stack.extend(kids)
-        return best
+        height, level = self.blocks[root_hash].height, self.children.get(root_hash)
+        while level:
+            height += 1
+            level = [kid for h in level for kid in self.children.get(h, ())]
+        return height
 
     def _choose_child(self, parent_hash: int, kids: list[int]) -> int:
         """Apply the branch rule at one fork point."""
@@ -752,50 +746,35 @@ class ChainState:
             contenders = kids
         return min(contenders, key=lambda k: sort_key(self.blocks[k]))
 
-    def _follow(self) -> dict[int, int]:
-        """Walk from genesis, deciding every fork point; the followed chain."""
-        chain: dict[int, int] = {0: self.genesis.block_hash}
-        cur = self.genesis.block_hash
-        height = 0
-        while True:
-            kids = self.children.get(cur)
-            if not kids:
-                return chain
-            nxt = kids[0] if len(kids) == 1 else self._choose_child(cur, kids)
-            height += 1
-            chain[height] = nxt
-            cur = nxt
+    def _follow(self) -> list[int]:
+        """Walk from genesis, deciding every fork point: the oracle for _reselect."""
+        chain = [self.genesis.block_hash]
+        while kids := self.children.get(chain[-1]):
+            chain.append(kids[0] if len(kids) == 1 else self._choose_child(chain[-1], kids))
+        return chain
 
     def _reselect(self, inserted: Block) -> ApplyStatus:
-        h = inserted.block_hash
-        parent_hash = inserted.parent_hash
-        if (
-            parent_hash == self.head.block_hash
-            and len(self.children[parent_hash]) == 1
-        ):
-            # extending the followed head never flips earlier decisions
-            self.main_by_height[inserted.height] = h
-            self.head = inserted
-            return ApplyStatus.ACCEPTED
-        chain = self._follow()
-        old = self.main_by_height
-        new_head_hash = chain[max(chain)]
-        switched = False
-        limit = min(max(chain), max(old))
-        for height in range(1, limit + 1):
-            if old.get(height) != chain.get(height):
-                switched = True
-                break
-        self.main_by_height = chain
-        self.head = self.blocks[new_head_hash]
-        on_main = chain.get(inserted.height) == h
-        if switched:
-            self.stats.switches += 1
-            self.fork_events.append(new_head_hash)
-            if self.replay_check:
-                self.assert_replay_matches()
-            return ApplyStatus.SWITCHED if on_main else ApplyStatus.SIDE_BRANCH
-        return ApplyStatus.ACCEPTED if on_main else ApplyStatus.SIDE_BRANCH
+        """Re-decide the followed chain from the insert's lowest followed ancestor.
+
+        Below it the followed branch is the one that grew, so it stays chosen.
+        A switch is a new chain without the old head, a shorter one included.
+        """
+        main = self.main_by_height
+        fork = self.blocks[inserted.parent_hash]
+        while fork.height >= len(main) or main[fork.height] != fork.block_hash:
+            fork = self.blocks[fork.parent_hash]
+        del main[fork.height + 1 :]
+        while kids := self.children.get(main[-1]):
+            main.append(kids[0] if len(kids) == 1 else self._choose_child(main[-1], kids))
+        old_head, self.head = self.head, self.blocks[main[-1]]
+        on_main = inserted.height < len(main) and main[inserted.height] == inserted.block_hash
+        if old_head.height < len(main) and main[old_head.height] == old_head.block_hash:
+            return ApplyStatus.ACCEPTED if on_main else ApplyStatus.SIDE_BRANCH
+        self.stats.switches += 1
+        self.fork_events.append(self.head.block_hash)
+        if self.replay_check:
+            self.assert_replay_matches()
+        return ApplyStatus.SWITCHED if on_main else ApplyStatus.SIDE_BRANCH
 
     def pop_fork_events(self) -> list[int]:
         events, self.fork_events = self.fork_events, []
@@ -805,14 +784,19 @@ class ChainState:
 
     def replay_from_genesis(self) -> TxIndices:
         indices = self._genesis_indices.clone()
-        for height in range(1, self.head.height + 1):
-            block = self.blocks[self.main_by_height[height]]
-            for tx in block.transactions:
+        for block_hash in self.main_by_height[1:]:
+            for tx in self.blocks[block_hash].transactions:
                 indices.apply_tx(tx)
         return indices
 
     def assert_replay_matches(self) -> None:
-        """Raise LedgerInvariantError naming the first field and key that differ."""
+        """Raise LedgerInvariantError naming the first height or state field that differs."""
+        chain, walked = self.main_by_height, self._follow()
+        if chain != walked:
+            height = next(i for i, (a, b) in enumerate(zip_longest(chain, walked)) if a != b)
+            raise LedgerInvariantError(
+                f"followed chain diverged from the from-genesis walk at height {height}"
+            )
         difference = _first_difference(self.head_indices(), self.replay_from_genesis())
         if difference is not None:
             name, key = difference

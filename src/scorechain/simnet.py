@@ -1003,14 +1003,19 @@ def _run_trial(args: tuple) -> SimReport:
 
 
 def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
-    """Independent seeded runs: trial i uses seed base+i; order-independent."""
+    """Independent seeded runs: trial i uses seed base+i; order-independent.
+    At most min(jobs, trials) worker processes run, one contiguous chunk each."""
     if trials < 1:
         raise SimConfigError("trials", "must be >= 1")
+    if jobs < 1:
+        raise SimConfigError("jobs", "must be >= 1")
     cfg.validate()
     seeds = [cfg.seed + i for i in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_trial, [(cfg, s) for s in seeds], chunksize=8))
+    workers = min(jobs, trials)
+    if workers > 1:
+        chunk = -(-trials // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_trial, [(cfg, s) for s in seeds], chunksize=chunk))
     else:
         reports = [_run_trial((cfg, s)) for s in seeds]
     totals = {name: 0 for name in COUNTER_FIELDS}

@@ -182,8 +182,8 @@ _BATCH: dict = {}
 
 def _safety_batch():
     # r=0.9, q=0, m=2, n_c=3, 20 nodes, 200 ticks are the SimConfig defaults;
-    # replay_check re-verifies the tx indices after every fork switch inside
-    # every run, which is exactly what criterion 9 asks for
+    # replay_check re-verifies the followed chain and the tx indices after
+    # every fork switch inside every run, which is what criterion 9 asks for
     if not _BATCH:
         start = time.monotonic()
         reports = [
@@ -217,8 +217,9 @@ def test_c06_no_hard_forks_no_misled_nodes():
 def test_c09_replay_oracle_on_every_switch():
     batch = _safety_batch()
     switches = sum(r.switches for r in batch["reports"])
-    # every one of those switches ran the incremental-vs-replay equality
-    # check inside the ledger; a single mismatch would have aborted its run
+    # every one of those switches checked the followed chain against the
+    # from-genesis walk and the incremental state against a genesis replay
+    # inside the ledger; a single mismatch would have aborted its run
     ok = switches > 0
     _line(9, "replay oracle across fork switches", ok, f"switches={switches} (within c06 budget)")
     assert ok

@@ -5,8 +5,9 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scorechain import ledger
+from scorechain import ledger, simnet
 from scorechain.core_types import (
     AccountBody,
     Block,
@@ -604,6 +605,76 @@ def test_equal_long_branches_fall_back_to_first_block_score():
     assert state.head.height == 3
 
 
+def test_lower_scored_sibling_below_confirm_depth_shortens_the_chain():
+    parties = keys(12)
+    winner, loser = siblings(parties, fresh_state(parties))
+    state = fresh_state(parties)
+    state.apply_block(loser)
+    (tip,) = extend(parties, loser, (2,), 8)
+    state.apply_block(tip)
+    state.pop_fork_events()
+    # the loser's branch is 2 long, under confirm_depth 3: the score rule
+    # moves the head down to the lower-scored sibling
+    result = state.apply_block(winner)
+    assert result.status is ApplyStatus.SWITCHED
+    assert state.head is winner
+    assert state.main_by_height == [state.genesis.block_hash, winner.block_hash]
+    assert state.stats.switches == 1
+    assert state.pop_fork_events() == [winner.block_hash]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    confirm_depth=st.integers(1, 4),
+    parents=st.lists(st.integers(0, 10**6), min_size=1, max_size=14),
+    data=st.data(),
+)
+def test_incremental_fork_choice_equals_the_from_genesis_walk(confirm_depth, parents, data):
+    """Random block trees delivered in shuffled order: after every apply the
+    followed chain and head equal what _follow decides from genesis."""
+    cfg = ChainConfig(tx_count_min=1, confirm_depth=confirm_depth)
+    parties = keys(len(parents) + 3, tag=b"T")
+    state = fresh_state(parties, cfg=cfg)
+    tree = [state.genesis]
+    for i, pick in enumerate(parents):
+        # a parent among the last few blocks makes equal-length branches common
+        parent = tree[max(0, len(tree) - 4) + pick % min(4, len(tree))]
+        secret, sender = parties[i + 2]
+        pay = make_transaction(STUB, secret, sender, AccountBody(parties[0][1], 1, 0))
+        tree.append(minted(parent.block_hash, parent.height + 1, [pay], parties))
+    for block in data.draw(st.permutations(tree[1:]), label="delivery"):
+        assert state.apply_block(block).status is not ApplyStatus.REJECTED
+        followed = state._follow()
+        assert state.main_by_height == followed
+        assert state.head.block_hash == followed[-1]
+    assert len(state.blocks) == len(tree)
+
+
+class _CountingChildren(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        _CountingChildren.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        _CountingChildren.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("duration", [1000, 3000])
+def test_fork_choice_work_per_stored_block_does_not_grow_with_height(duration, monkeypatch):
+    # a deterministic count, so host load cannot move it; re-walking the
+    # chain from genesis on each insert makes 34 (d=1000) and 103 (d=3000)
+    monkeypatch.setattr(_CountingChildren, "lookups", 0)
+    sim = simnet.Simulator(replace(simnet.SimConfig(), seed=3, duration=duration))
+    for node in sim.nodes:
+        node.state.children = _CountingChildren()
+    assert sim.run().blocks_minted > duration // 10
+    stored = sum(len(node.state.blocks) - 1 for node in sim.nodes)
+    assert _CountingChildren.lookups <= 3 * stored
+
+
 def test_fork_events_surface_switches_once():
     parties = keys(12)
     winner, loser = siblings(parties, fresh_state(parties))
@@ -651,6 +722,22 @@ def test_replay_mismatch_raises():
     # corrupt the stored snapshot: a payment no block carries
     state.head_indices().apply_tx(payments(parties, 1, nonce=1)[0])
     with pytest.raises(LedgerInvariantError):
+        state.assert_replay_matches()
+
+
+def test_replay_check_names_the_height_where_the_followed_chain_differs():
+    parties = keys(24)
+    winner, loser = siblings(parties, fresh_state(parties))
+    state = fresh_state(parties)
+    for b in (winner, loser, *extend(parties, winner, (2, 3), 8)):
+        state.apply_block(b)
+    state.assert_replay_matches()
+    state.main_by_height[1] = loser.block_hash
+    with pytest.raises(LedgerInvariantError, match="at height 1$"):
+        state.assert_replay_matches()
+    state.main_by_height[1] = winner.block_hash
+    state.main_by_height.pop()
+    with pytest.raises(LedgerInvariantError, match="at height 3$"):
         state.assert_replay_matches()
 
 

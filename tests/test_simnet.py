@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from scorechain import simnet
 from scorechain.analysis import SafetyParams
 from scorechain.cli import main as cli_main
 from scorechain.core_types import (
@@ -454,6 +455,65 @@ def test_parallel_trials_match_serial():
     parallel = run_trials(cfg, trials=4, jobs=2)
     assert parallel.rows == serial.rows
     assert parallel.totals == serial.totals
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records what a batch asks for and
+    runs the work in this process, so no worker is ever started."""
+
+    requests: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        _RecordingPool.requests.append((self.max_workers, chunksize, len(items)))
+        return map(fn, items)
+
+
+def test_trials_start_no_more_workers_than_trials(monkeypatch):
+    monkeypatch.setattr(simnet, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "requests", [])
+    cfg = replace(SMALL, n_nodes=8, duration=20)
+    result = run_trials(cfg, trials=8, jobs=10_000)
+    assert [row["seed"] for row in result.rows] == list(range(5, 13))
+    run_trials(cfg, trials=5, jobs=2)  # two workers, one contiguous chunk each
+    run_trials(cfg, trials=1, jobs=4)  # one trial runs in this process
+    assert _RecordingPool.requests == [(8, 1, 8), (2, 3, 5)]
+    for jobs in (0, -1):
+        with pytest.raises(SimConfigError, match="^jobs:"):
+            run_trials(cfg, trials=2, jobs=jobs)
+    assert cli_main(["trials", "--trials", "2", "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate"],
+        ["trials", "--trials", "1"],
+        ["miss-model", "--trials", "10"],
+        ["corruption", "--attempts", "10"],
+        ["misled-sweep"],
+        ["chain-scale"],
+        ["reproduce"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_out_that_cannot_be_a_directory_exits_2(command, under_a_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken / "sub" if under_a_file else taken
+    assert cli_main([*command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: out:")
+    assert taken.read_text() == "a file"
 
 
 def test_trials_csv_layout(tmp_path):
