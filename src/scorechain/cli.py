@@ -180,8 +180,17 @@ def cmd_chain_scale(args: argparse.Namespace) -> int:
 
 
 def _three_sigma_ok(analytic: float, hits: int, trials: int) -> tuple[bool, float]:
+    """Whether hits/trials lies within 3 sigma of analytic, and its z-score.
+
+    At an analytic 0 or 1 sigma is 0 and every draw is certain, so only
+    exact agreement passes; any other count reads z = +-inf.
+    """
     sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
-    z = (hits / trials - analytic) / sigma if sigma > 0 else 0.0
+    gap = hits / trials - analytic
+    if sigma > 0:
+        z = gap / sigma
+    else:
+        z = 0.0 if gap == 0 else math.copysign(math.inf, gap)
     return abs(z) <= 3.0, z
 
 

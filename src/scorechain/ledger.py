@@ -25,6 +25,7 @@ TxIndices). A mismatch names the first field and key that differ.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, filterfalse, repeat, zip_longest
@@ -379,6 +380,42 @@ def _map_difference(overlay: dict, base: dict, other_overlay: dict, other_base: 
     return _ABSENT
 
 
+class HeightCache(dict):
+    """A dict whose entries are filed by height, so those below a horizon
+    can be dropped together.
+
+    put stores an entry and files it at a height. An entry stored any other
+    way (item assignment, setdefault) is not filed, and so never dropped.
+    drop_below(horizon, keep) removes every entry filed below the horizon,
+    except those keep(height, key) accepts: they stay, unfiled, for good.
+    """
+
+    __slots__ = ("_filed",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._filed: defaultdict[int, list] = defaultdict(list)
+
+    def put(self, height: int, key, value) -> None:
+        """Store value under key, which must be absent, filed at height."""
+        self[key] = value
+        self._filed[height].append(key)
+
+    def drop_below(self, horizon: int, keep=None) -> None:
+        for height in [h for h in self._filed if h < horizon]:
+            for key in self._filed.pop(height):
+                if keep is None or not keep(height, key):
+                    del self[key]
+
+
+def _put(store: dict, height: int, key, value) -> None:
+    """store[key] = value, filed at height when store is a HeightCache."""
+    if type(store) is HeightCache:
+        store.put(height, key, value)
+    else:
+        store[key] = value
+
+
 def _first_difference(a: TxIndices, b: TxIndices) -> "tuple[str, object] | None":
     """Where two snapshots' contents first differ: (field, key), or None.
 
@@ -506,6 +543,14 @@ class ChainState:
     the candidate's block_hash, so a witness's candidate_block_valid and the
     minted block (its candidate plus any coinbase) skip the transactions the
     proposer already ran.
+
+    Given as HeightCaches, the two stores file each entry at its block's
+    height, and their owner may drop those below a horizon (simnet.Simulator
+    does). A drop costs work, never an answer: a missing verdict is computed
+    again, and a missing snapshot of a stored block is rebuilt by replaying
+    this node's blocks from the nearest ancestor the store still holds.
+    Genesis is never filed, so a rebuild always finds one. A store of any
+    other kind, as a standalone ChainState makes for itself, keeps everything.
     """
 
     def __init__(
@@ -516,8 +561,8 @@ class ChainState:
         *,
         coinbase_rule: "CoinbaseRule | None" = None,
         replay_check: bool = False,
-        snapshot_store: "dict | None" = None,
-        verdict_cache: "dict | None" = None,
+        snapshot_store: "HeightCache | dict | None" = None,
+        verdict_cache: "HeightCache | dict | None" = None,
     ) -> None:
         self.cfg = cfg
         self.scheme = scheme
@@ -549,10 +594,10 @@ class ChainState:
         return self.head.height
 
     def head_indices(self) -> TxIndices:
-        return self.snapshots[self.head.block_hash]
+        return self._snapshot(self.head.block_hash)
 
     def system_nonce_at(self, block_hash: int) -> int:
-        indices = self.snapshots[block_hash]
+        indices = self._snapshot(block_hash)
         nonce = indices._nonces.get(SYSTEM_KEY)
         return indices._nonces_base.get(SYSTEM_KEY, 0) if nonce is None else nonce
 
@@ -596,6 +641,33 @@ class ChainState:
         self._drain_orphans(h)
         return _BY_STATUS[status]
 
+    # -- snapshots -------------------------------------------------------------
+
+    def _snapshot(self, block_hash: int) -> TxIndices:
+        """The state after a stored block, rebuilt if the store dropped it."""
+        indices = self.snapshots.get(block_hash)
+        return indices if indices is not None else self._rebuild_snapshot(block_hash)
+
+    def _rebuild_snapshot(self, block_hash: int) -> TxIndices:
+        """Replay this node's blocks from the nearest ancestor whose snapshot
+        the store holds, and store the result."""
+        path: list[Block] = []
+        while (indices := self.snapshots.get(block_hash)) is None:
+            block = self.blocks[block_hash]
+            path.append(block)
+            block_hash = block.parent_hash
+        indices = indices.clone()
+        for block in reversed(path):
+            for tx in block.transactions:
+                indices.apply_tx(tx)
+        self.keep_snapshot(path[0], indices)
+        return indices
+
+    def keep_snapshot(self, block: Block, indices: TxIndices) -> None:
+        """Store indices as the state after block, unless one is stored."""
+        if block.block_hash not in self.snapshots:
+            _put(self.snapshots, block.height, block.block_hash, indices)
+
     def _insert(self, block: Block) -> None:
         h = block.block_hash
         self.blocks[h] = block
@@ -609,7 +681,7 @@ class ChainState:
         if key in self.verdicts:
             return self.verdicts[key]
         reason = self._validate_uncached(block, parent)
-        self.verdicts[key] = reason
+        _put(self.verdicts, block.height, key, reason)
         return reason
 
     def _validate_uncached(self, block: Block, parent: Block) -> "BlockReject | None":
@@ -664,7 +736,7 @@ class ChainState:
             indices = self.snapshots[candidate.block_hash].clone()
             for tx in expected:
                 indices.apply_tx(tx)
-            self.snapshots[block.block_hash] = indices
+            self.keep_snapshot(block, indices)
         return None
 
     def _check_structure(self, block: Block, parent: Block) -> "BlockReject | None":
@@ -688,12 +760,12 @@ class ChainState:
         """
         if block.block_hash in self.snapshots:
             return None
-        indices = self.snapshots[parent.block_hash].clone()
+        indices = self._snapshot(parent.block_hash).clone()
         for tx in block.transactions:
             if indices.validate_tx(tx, self.scheme) is not None:
                 return BlockReject.INVALID_TX
             indices.apply_tx(tx)
-        self.snapshots[block.block_hash] = indices
+        self.keep_snapshot(block, indices)
         return None
 
     def candidate_block_valid(self, block: Block) -> bool:
@@ -714,7 +786,7 @@ class ChainState:
                 self._check_structure(block, parent) is None
                 and self._apply_txs(block, parent) is None
             )
-            self.verdicts[key] = ok
+            _put(self.verdicts, block.height, key, ok)
         return ok
 
     # -- orphan pool -------------------------------------------------------------

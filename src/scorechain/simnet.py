@@ -23,7 +23,6 @@ import csv
 import json
 import random
 from collections import Counter, defaultdict, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
@@ -48,6 +47,7 @@ from .incentive import RewardSchedule, make_coinbase_rule
 from .ledger import (
     ApplyStatus,
     ChainState,
+    HeightCache,
     TxIndices,
     confirmed_conflicts,
     fund_accounts,
@@ -115,6 +115,12 @@ MEMPOOL_CAP = 4096  # transactions a node holds; later arrivals are dropped
 GENESIS_UNITS = 10**9  # account model: each node's opening balance
 GENESIS_OUTPUTS = 96  # UTXO model: each node's opening outputs,
 UTXO_UNIT = 1000  # each worth this much
+# The stores a simulator's nodes share drop what they filed below a horizon:
+# the lowest node head, less confirm_depth, less this slack. One stored
+# block's snapshot every CHECKPOINT_SPACING heights is kept, so rebuilding a
+# dropped snapshot replays at most that many blocks.
+HORIZON_SLACK = 8
+CHECKPOINT_SPACING = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -728,15 +734,22 @@ class _VerifiedMemo(SignatureScheme):
 
     Every node of one simulated network checks the same signed bytes, so a
     (public key, message, signature) triple that verified once is answered
-    from a set afterwards. A failed check is never stored: a bad signature
+    from a store afterwards. A failed check is never stored: a bad signature
     reaches the plain scheme on every call, and only valid signatures grow
-    the set. keypair and sign delegate unchanged.
+    the store. keypair and sign delegate unchanged.
+
+    The store is a HeightCache: a triple is filed at `height`, which the
+    simulator keeps at its lowest node head, and dropped with the rest of
+    the simulator's shared stores once that falls below their horizon. A
+    dropped triple that is asked about again is verified again.
     """
 
     def __init__(self, plain: SignatureScheme) -> None:
         self.plain = plain
         self.name = plain.name
-        self.verified: set[tuple[bytes, bytes, bytes]] = set()
+        self.height = 0
+        self.store = HeightCache()  # verified triple -> True
+        self.verified = self.store.keys()  # the triples held, as a live view
 
     def keypair(self, seed: bytes) -> tuple[bytes, NodeId]:
         return self.plain.keypair(seed)
@@ -746,11 +759,11 @@ class _VerifiedMemo(SignatureScheme):
 
     def verify(self, public: NodeId, message: bytes, signature: bytes) -> bool:
         triple = (public.public_key, message, signature)
-        if triple in self.verified:
+        if triple in self.store:
             return True
         if not self.plain.verify(public, message, signature):
             return False
-        self.verified.add(triple)
+        self.store.put(self.height, triple, True)
         return True
 
 
@@ -760,7 +773,7 @@ class Simulator:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         # verified signatures, like the two stores below, are shared by every
-        # node and die with the simulator
+        # node and held only down to the horizon (_prune)
         self.scheme = _VerifiedMemo(get_scheme(cfg.scheme))
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
         # tick -> (kind, payload) events in scheduling order
@@ -783,8 +796,9 @@ class Simulator:
         self.node_ids = node_ids
 
         self.genesis_indices = self._build_alloc()
-        self.snapshot_store: dict = {}
-        self.verdict_cache: dict = {}
+        self.snapshot_store = HeightCache()
+        self.verdict_cache = HeightCache()
+        self._horizon = 0
         self.coinbase_rule = None
         if cfg.rewards is not None:
             self.coinbase_rule = make_coinbase_rule(cfg.rewards, cfg.tx_model)
@@ -881,8 +895,34 @@ class Simulator:
                     index, block_hash = payload
                     self.nodes[index].on_timeout(block_hash)
             del queue[tick]
+            self._prune()
         self._finalize()
         return self.report
+
+    def _prune(self) -> None:
+        """Move the shared stores' horizon up with the lowest node head.
+
+        Every node's head is at or above the lowest, and a block more than
+        confirm_depth below a head is settled unless a longer branch
+        arrives, so what the stores file below the horizon is rarely asked
+        for again; a miss costs a recomputation, never an answer.
+        """
+        lowest = min([node.state.head.height for node in self.nodes])
+        self.scheme.height = lowest
+        horizon = lowest - self.cfg.chain.confirm_depth - HORIZON_SLACK
+        if horizon <= self._horizon:
+            return
+        self._horizon = horizon
+        nodes = self.nodes
+
+        def checkpoint(height: int, block_hash: int) -> bool:
+            return height % CHECKPOINT_SPACING == 0 and any(
+                block_hash in node.state.blocks for node in nodes
+            )
+
+        self.snapshot_store.drop_below(horizon, keep=checkpoint)
+        self.verdict_cache.drop_below(horizon)
+        self.scheme.store.drop_below(horizon)
 
     def _deliver(self, target: int, sender: int, message) -> None:
         node = self.nodes[target]
@@ -1013,6 +1053,9 @@ def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
     seeds = [cfg.seed + i for i in range(trials)]
     workers = min(jobs, trials)
     if workers > 1:
+        # imported here, so a single simulation never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = -(-trials // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_trial, [(cfg, s) for s in seeds], chunksize=chunk))

@@ -145,7 +145,7 @@ def propose_block(
     than the required minimum survive, a normal and retryable outcome.
 
     The head clone the selected transactions ran on is the candidate's
-    post-state. It is stored in state.snapshots under the candidate's
+    post-state. state.keep_snapshot stores it under the candidate's
     block_hash, which commits to parent and transactions, so witnesses and
     the minted block (whose user transactions are the candidate) reuse it
     instead of running the transactions again.
@@ -176,7 +176,7 @@ def propose_block(
         return None
     head = state.head
     candidate = Block(head.block_hash, head.height + 1, proposer, tuple(selected))
-    state.snapshots.setdefault(candidate.block_hash, indices)
+    state.keep_snapshot(candidate, indices)
     return candidate
 
 

@@ -247,6 +247,24 @@ def test_simulator_and_cli_import_no_numpy():
     assert loaded.stdout.strip() == "False"
 
 
+def test_simulator_and_cli_load_no_process_pool():
+    # run_trials imports its pool only when it starts worker processes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, scorechain.simnet, scorechain.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
+
+
 def test_no_unreferenced_private_definitions():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
     referenced = set().union(*(referenced_names(tree) for tree in trees.values()))

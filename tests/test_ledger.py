@@ -31,6 +31,7 @@ from scorechain.ledger import (
     ApplyStatus,
     BlockReject,
     ChainState,
+    HeightCache,
     LedgerInvariantError,
     TxReject,
     confirmed_conflicts,
@@ -892,6 +893,43 @@ def test_shared_caches_serve_second_ledger():
     second = ChainState(CFG, STUB, funding, snapshot_store=snapshots, verdict_cache=verdicts)
     assert second.apply_block(block).stored
     assert second.head_indices() is first.head_indices()
+
+
+def test_dropped_entries_are_rebuilt_from_the_nearest_kept_snapshot(monkeypatch):
+    parties = keys(6)
+    snapshots, verdicts = HeightCache(), HeightCache()
+    funding = fund_accounts({nid: 10**9 for _, nid in parties})
+    state = ChainState(CFG, STUB, funding, snapshot_store=snapshots, verdict_cache=verdicts)
+    chain = []
+    for height in range(1, 7):
+        block = minted(state.head.block_hash, height, payments(parties, 6, height - 1), parties)
+        assert state.apply_block(block).status is ApplyStatus.ACCEPTED
+        chain.append(block)
+    head = state.head_indices()
+
+    # genesis is never filed; height 3 stays as a checkpoint
+    snapshots.drop_below(7, keep=lambda height, block_hash: height == 3)
+    verdicts.drop_below(7)
+    assert set(snapshots) == {state.genesis.block_hash, chain[2].block_hash}
+    assert not verdicts
+
+    replayed = []
+    apply_tx = ledger.TxIndices.apply_tx
+    monkeypatch.setattr(
+        ledger.TxIndices, "apply_tx", lambda indices, tx: replayed.append(tx) or apply_tx(indices, tx)
+    )
+    rebuilt = state.head_indices()
+    assert replayed == [tx for block in chain[3:] for tx in block.transactions]
+    assert rebuilt == head and rebuilt is not head
+    assert state.head_indices() is rebuilt  # stored again, at its height
+
+    # a second ledger on the same stores validates every block again
+    second = ChainState(CFG, STUB, funding, snapshot_store=snapshots, verdict_cache=verdicts)
+    for block in chain:
+        assert second.apply_block(block).status is ApplyStatus.ACCEPTED
+    assert (chain[0].block_hash, chain[0].witness_sigs) in verdicts
+    assert second.head_indices() is rebuilt
+    second.assert_replay_matches()
 
 
 def test_delivery_order_does_not_change_selection():

@@ -1,8 +1,10 @@
 """Event-driven network simulation: config, determinism, attacks, Monte Carlo."""
 
+import copy
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 
 from scorechain import simnet
 from scorechain.analysis import SafetyParams
-from scorechain.cli import main as cli_main
+from scorechain.cli import _three_sigma_ok, main as cli_main
 from scorechain.core_types import (
     ChainConfig,
     Ed25519Scheme,
@@ -20,6 +22,7 @@ from scorechain.core_types import (
     get_scheme,
 )
 from scorechain.incentive import RewardSchedule
+from scorechain.ledger import ChainState
 from scorechain.simnet import (
     LatencySpec,
     SIM_WITNESS_THRESHOLD,
@@ -362,6 +365,94 @@ def test_get_scheme_stays_uncached(monkeypatch):
     assert len(calls) == 2
 
 
+# -- the shared stores' height horizon --------------------------------------------------------
+
+
+def shared_store_sizes(cfg: SimConfig) -> tuple[list[int], int]:
+    """Entries of the three stores a run's nodes share, after the run, and
+    the bytes a deep copy of all three takes (tracemalloc)."""
+    sim = Simulator(cfg)
+    sim.run()
+    stores = (sim.snapshot_store, sim.verdict_cache, sim.scheme.store)
+    tracemalloc.start()
+    try:
+        copies = copy.deepcopy(stores)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return [len(store) for store in copies], held
+
+
+@pytest.mark.parametrize("strategy", [Strategy.NONE, Strategy.EQUIVOCATE], ids=lambda s: s.value)
+def test_shared_stores_do_not_grow_with_height(strategy):
+    cfg = SimConfig(seed=3)
+    if strategy is not Strategy.NONE:
+        cfg = replace(cfg, n_nodes=12, adversary_fraction=0.25, adversary_strategy=strategy)
+    short_entries, short_bytes = shared_store_sizes(replace(cfg, duration=1000))
+    long_entries, long_bytes = shared_store_sizes(replace(cfg, duration=6000))
+    # six times the ticks, about six times the height. Kept whole, the default
+    # run's stores held 332, 495 and 1,830 entries at 1000 ticks and 1,998,
+    # 2,946 and 10,973 at 6000; here the long run adds one checkpoint
+    # snapshot per 256 heights, and what the band above the horizon holds varies
+    for short, long in zip(short_entries, long_entries):
+        assert long <= short + 16
+    assert long_bytes <= 1.5 * short_bytes
+
+
+# each shape's run checks the replay oracle on every switch, and
+# run_and_replay checks every node's head state once more after the run
+MISS_SHAPES = {
+    "lossy": SimConfig(replay_check=True, delivery_ratio=0.6, latency=LatencySpec(1, 6)),
+    "long": SimConfig(replay_check=True, duration=1200),
+    "account_rewards": SimConfig(replay_check=True, rewards=RewardSchedule(50, 5)),
+    "utxo_rewards": SimConfig(
+        replay_check=True, tx_model=TxModel.UTXO, rewards=RewardSchedule(50, 5)
+    ),
+    "equivocate": SimConfig(
+        replay_check=True,
+        n_nodes=12,
+        adversary_fraction=0.25,
+        adversary_strategy=Strategy.EQUIVOCATE,
+    ),
+    "invalid_push": SimConfig(
+        replay_check=True,
+        n_nodes=12,
+        adversary_fraction=0.25,
+        adversary_strategy=Strategy.INVALID_BLOCK_PUSH,
+    ),
+}
+
+
+def run_and_replay(cfg: SimConfig) -> str:
+    """A run's report, once every node's head state matches its replay."""
+    sim = Simulator(cfg)
+    report = sim.run().to_json()
+    for node in sim.nodes:
+        node.state.assert_replay_matches()
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(MISS_SHAPES))
+def test_dropped_entries_cost_work_never_an_answer(name, monkeypatch):
+    cfg = MISS_SHAPES[name]
+    monkeypatch.setattr(simnet, "HORIZON_SLACK", 10**9)  # the horizon never rises
+    unbounded = run_and_replay(cfg)
+    # the horizon above every head and no checkpoint but genesis: each entry
+    # is dropped at the end of the tick that filed it
+    monkeypatch.setattr(simnet, "HORIZON_SLACK", -(10**9))
+    monkeypatch.setattr(simnet, "CHECKPOINT_SPACING", 10**9)
+    rebuilt = []
+    rebuild = ChainState._rebuild_snapshot
+
+    def counted(state, block_hash):
+        rebuilt.append(block_hash)
+        return rebuild(state, block_hash)
+
+    monkeypatch.setattr(ChainState, "_rebuild_snapshot", counted)
+    assert run_and_replay(cfg) == unbounded
+    assert rebuilt
+
+
 def test_propose_slot_drops_a_forged_payment():
     sim = Simulator(SMALL)
     node = sim.nodes[0]
@@ -479,7 +570,7 @@ class _RecordingPool:
 
 
 def test_trials_start_no_more_workers_than_trials(monkeypatch):
-    monkeypatch.setattr(simnet, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "requests", [])
     cfg = replace(SMALL, n_nodes=8, duration=20)
     result = run_trials(cfg, trials=8, jobs=10_000)
@@ -558,6 +649,17 @@ def test_miss_model_command_writes_its_result(tmp_path, capsys):
     assert abs(payload["empirical"] - p) <= 4 * math.sqrt(p * (1 - p) / 20_000)
 
 
+def test_three_sigma_check_at_a_certain_outcome_needs_exact_agreement():
+    # sigma is 0 when the analytic value is 0 or 1, so no margin exists
+    assert _three_sigma_ok(0.0, 0, 1000) == (True, 0.0)
+    assert _three_sigma_ok(1.0, 1000, 1000) == (True, 0.0)
+    assert _three_sigma_ok(0.0, 1, 1000) == (False, math.inf)
+    assert _three_sigma_ok(1.0, 999, 1000) == (False, -math.inf)
+    assert _three_sigma_ok(0.25, 250, 1000) == (True, 0.0)
+    ok, z = _three_sigma_ok(0.25, 300, 1000)
+    assert not ok and z == pytest.approx(0.05 / math.sqrt(0.25 * 0.75 / 1000))
+
+
 # -- witness-corruption Monte Carlo ------------------------------------------------------------------
 
 
@@ -583,6 +685,28 @@ def test_corruption_trials_repeat_per_seed():
     # pinned when every endorsement was signed as it was made
     assert (result.witnessed, result.adversarial_slot_rate) == (92, 0.50375)
     assert witness_corruption_trials(400, q=0.5, m=2, n_keys=60, seed=3) == result
+
+
+def test_corruption_command_writes_its_result(tmp_path, capsys):
+    argv = ["corruption", "--attempts", "400", "--m", "2", "--keys", "60", "--seed", "3"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    assert "q=0.5 m=2" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "corruption.json").read_text())
+    assert sorted(payload) == [
+        "adversarial_slot_rate",
+        "analytic",
+        "attempts",
+        "m",
+        "n_keys",
+        "q",
+        "witnessed_rate",
+    ]
+    assert (payload["q"], payload["m"], payload["n_keys"]) == (0.5, 2, 60)
+    assert payload["attempts"] == 400
+    assert payload["analytic"] == 0.25
+    # the seeded trial pinned by test_corruption_trials_repeat_per_seed
+    assert payload["witnessed_rate"] == 92 / 400
+    assert payload["adversarial_slot_rate"] == 0.50375
 
 
 def test_corruption_argument_checks():
