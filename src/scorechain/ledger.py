@@ -25,7 +25,6 @@ TxIndices). A mismatch names the first field and key that differ.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, filterfalse, repeat, zip_longest
@@ -65,6 +64,8 @@ from .witness import is_eligible_witness
 REC_CHAIN_FILE = 0x10
 # blocks a node buffers while their parents are unknown; the oldest goes first
 MAX_ORPHANS = 256
+# a node checkpoints its stored blocks' snapshots at multiples of this height
+CHECKPOINT_SPACING = 256
 
 
 class LedgerInvariantError(AssertionError):
@@ -384,36 +385,29 @@ class HeightCache(dict):
     """A dict whose entries are filed by height, so those below a horizon
     can be dropped together.
 
-    put stores an entry and files it at a height. An entry stored any other
-    way (item assignment, setdefault) is not filed, and so never dropped.
-    drop_below(horizon, keep) removes every entry filed below the horizon,
-    except those keep(height, key) accepts: they stay, unfiled, for good.
+    Entries are written only through put, which files each one once, at a
+    height, so every entry is filed. drop_below(horizon) removes every entry
+    filed below the horizon. What must outlive a drop, such as a node's
+    checkpoint snapshots, is held outside the cache.
     """
 
     __slots__ = ("_filed",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._filed: defaultdict[int, list] = defaultdict(list)
+        # key -> its height; a put allocates no new container, so a store
+        # that is never dropped adds no garbage-collector work per block
+        self._filed: dict = {}
 
     def put(self, height: int, key, value) -> None:
-        """Store value under key, which must be absent, filed at height."""
-        self[key] = value
-        self._filed[height].append(key)
+        """Store value under key, filed at height, unless key is held already."""
+        self.setdefault(key, value)
+        self._filed.setdefault(key, height)
 
-    def drop_below(self, horizon: int, keep=None) -> None:
-        for height in [h for h in self._filed if h < horizon]:
-            for key in self._filed.pop(height):
-                if keep is None or not keep(height, key):
-                    del self[key]
-
-
-def _put(store: dict, height: int, key, value) -> None:
-    """store[key] = value, filed at height when store is a HeightCache."""
-    if type(store) is HeightCache:
-        store.put(height, key, value)
-    else:
-        store[key] = value
+    def drop_below(self, horizon: int) -> None:
+        filed = self._filed
+        for key in [key for key, height in filed.items() if height < horizon]:
+            del self[key], filed[key]
 
 
 def _first_difference(a: TxIndices, b: TxIndices) -> "tuple[str, object] | None":
@@ -535,7 +529,8 @@ class ChainState:
     is stored, however long that takes. The pool is bounded by count alone:
     a new orphan arriving at MAX_ORPHANS evicts the oldest.
 
-    snapshot_store and verdict_cache may be shared by several ChainStates in
+    The snapshot store and the verdict cache are HeightCaches; a ChainState
+    given none makes its own. They may be shared by several ChainStates in
     one simulated network (same genesis allocation and parameters): verdicts
     and post-block snapshots depend only on a block's ancestry, never on the
     observing node, and a node only consults entries for blocks it holds.
@@ -544,13 +539,15 @@ class ChainState:
     minted block (its candidate plus any coinbase) skip the transactions the
     proposer already ran.
 
-    Given as HeightCaches, the two stores file each entry at its block's
-    height, and their owner may drop those below a horizon (simnet.Simulator
-    does). A drop costs work, never an answer: a missing verdict is computed
-    again, and a missing snapshot of a stored block is rebuilt by replaying
-    this node's blocks from the nearest ancestor the store still holds.
-    Genesis is never filed, so a rebuild always finds one. A store of any
-    other kind, as a standalone ChainState makes for itself, keeps everything.
+    Every entry is written through put, filed at its block's height, and the
+    stores' owner may drop those below a horizon (simnet.Simulator does). A
+    drop costs work, never an answer: a missing verdict is computed again,
+    and a missing snapshot of a stored block is rebuilt by replaying this
+    node's blocks from the nearest ancestor whose snapshot the store or this
+    node's checkpoints hold. The checkpoints, a map of this node's that no
+    drop reaches, hold the genesis state and the snapshot of each stored
+    block at a multiple of CHECKPOINT_SPACING, so a rebuild replays fewer
+    blocks than that.
     """
 
     def __init__(
@@ -561,8 +558,8 @@ class ChainState:
         *,
         coinbase_rule: "CoinbaseRule | None" = None,
         replay_check: bool = False,
-        snapshot_store: "HeightCache | dict | None" = None,
-        verdict_cache: "HeightCache | dict | None" = None,
+        snapshot_store: "HeightCache | None" = None,
+        verdict_cache: "HeightCache | None" = None,
     ) -> None:
         self.cfg = cfg
         self.scheme = scheme
@@ -573,15 +570,14 @@ class ChainState:
 
         g = self.genesis.block_hash
         base = genesis_indices.clone() if genesis_indices is not None else TxIndices()
-        self._genesis_indices = base
         self.blocks: dict[int, Block] = {g: self.genesis}
         self.children: dict[int, list[int]] = {}
         self.blocks_at_height: dict[int, list[int]] = {0: [g]}
         self.main_by_height: list[int] = [g]  # the followed chain, by height
         self.head: Block = self.genesis
-        self.snapshots = snapshot_store if snapshot_store is not None else {}
-        self.snapshots.setdefault(g, base)
-        self.verdicts = verdict_cache if verdict_cache is not None else {}
+        self.snapshots = snapshot_store if snapshot_store is not None else HeightCache()
+        self.verdicts = verdict_cache if verdict_cache is not None else HeightCache()
+        self._checkpoints: dict[int, TxIndices] = {g: base}
         self.fork_events: list[int] = []  # the head after each branch switch
 
         # block hash -> block, in buffer order
@@ -644,15 +640,20 @@ class ChainState:
     # -- snapshots -------------------------------------------------------------
 
     def _snapshot(self, block_hash: int) -> TxIndices:
-        """The state after a stored block, rebuilt if the store dropped it."""
+        """The state after a stored block, from the store, else from this
+        node's checkpoints, else rebuilt."""
         indices = self.snapshots.get(block_hash)
-        return indices if indices is not None else self._rebuild_snapshot(block_hash)
+        if indices is None and (indices := self._checkpoints.get(block_hash)) is None:
+            indices = self._rebuild_snapshot(block_hash)
+        return indices
 
     def _rebuild_snapshot(self, block_hash: int) -> TxIndices:
         """Replay this node's blocks from the nearest ancestor whose snapshot
-        the store holds, and store the result."""
+        the store or the checkpoints hold, and store the result."""
         path: list[Block] = []
-        while (indices := self.snapshots.get(block_hash)) is None:
+        while (indices := self.snapshots.get(block_hash)) is None and (
+            indices := self._checkpoints.get(block_hash)
+        ) is None:
             block = self.blocks[block_hash]
             path.append(block)
             block_hash = block.parent_hash
@@ -660,19 +661,16 @@ class ChainState:
         for block in reversed(path):
             for tx in block.transactions:
                 indices.apply_tx(tx)
-        self.keep_snapshot(path[0], indices)
+        self.snapshots.put(path[0].height, path[0].block_hash, indices)
         return indices
-
-    def keep_snapshot(self, block: Block, indices: TxIndices) -> None:
-        """Store indices as the state after block, unless one is stored."""
-        if block.block_hash not in self.snapshots:
-            _put(self.snapshots, block.height, block.block_hash, indices)
 
     def _insert(self, block: Block) -> None:
         h = block.block_hash
         self.blocks[h] = block
         self.children.setdefault(block.parent_hash, []).append(h)
         self.blocks_at_height.setdefault(block.height, []).append(h)
+        if block.height % CHECKPOINT_SPACING == 0:
+            self._checkpoints[h] = self._snapshot(h)
 
     # -- validation ------------------------------------------------------------
 
@@ -681,7 +679,7 @@ class ChainState:
         if key in self.verdicts:
             return self.verdicts[key]
         reason = self._validate_uncached(block, parent)
-        _put(self.verdicts, block.height, key, reason)
+        self.verdicts.put(block.height, key, reason)
         return reason
 
     def _validate_uncached(self, block: Block, parent: Block) -> "BlockReject | None":
@@ -736,7 +734,7 @@ class ChainState:
             indices = self.snapshots[candidate.block_hash].clone()
             for tx in expected:
                 indices.apply_tx(tx)
-            self.keep_snapshot(block, indices)
+            self.snapshots.put(block.height, block.block_hash, indices)
         return None
 
     def _check_structure(self, block: Block, parent: Block) -> "BlockReject | None":
@@ -765,7 +763,7 @@ class ChainState:
             if indices.validate_tx(tx, self.scheme) is not None:
                 return BlockReject.INVALID_TX
             indices.apply_tx(tx)
-        self.keep_snapshot(block, indices)
+        self.snapshots.put(block.height, block.block_hash, indices)
         return None
 
     def candidate_block_valid(self, block: Block) -> bool:
@@ -786,7 +784,7 @@ class ChainState:
                 self._check_structure(block, parent) is None
                 and self._apply_txs(block, parent) is None
             )
-            _put(self.verdicts, block.height, key, ok)
+            self.verdicts.put(block.height, key, ok)
         return ok
 
     # -- orphan pool -------------------------------------------------------------
@@ -855,7 +853,7 @@ class ChainState:
     # -- replay oracle -----------------------------------------------------------
 
     def replay_from_genesis(self) -> TxIndices:
-        indices = self._genesis_indices.clone()
+        indices = self._checkpoints[self.genesis.block_hash].clone()
         for block_hash in self.main_by_height[1:]:
             for tx in self.blocks[block_hash].transactions:
                 indices.apply_tx(tx)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from collections import Counter, defaultdict, deque
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -116,11 +117,10 @@ GENESIS_UNITS = 10**9  # account model: each node's opening balance
 GENESIS_OUTPUTS = 96  # UTXO model: each node's opening outputs,
 UTXO_UNIT = 1000  # each worth this much
 # The stores a simulator's nodes share drop what they filed below a horizon:
-# the lowest node head, less confirm_depth, less this slack. One stored
-# block's snapshot every CHECKPOINT_SPACING heights is kept, so rebuilding a
-# dropped snapshot replays at most that many blocks.
+# the lowest node head, less confirm_depth, less this slack.
 HORIZON_SLACK = 8
-CHECKPOINT_SPACING = 256
+# events a run may process; one that queues more before it starts cannot finish
+EVENT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,8 +151,11 @@ class SimConfig:
             raise SimConfigError("delivery_ratio", "must be in (0, 1]")
         if self.duration < 1:
             raise SimConfigError("duration", "must be positive")
-        if self.tx_rate < 0:
-            raise SimConfigError("tx_rate", "must be non-negative")
+        if not (math.isfinite(self.tx_rate) and self.tx_rate >= 0):
+            raise SimConfigError("tx_rate", "must be finite and non-negative")
+        # run() queues every proposal slot and each tick's whole injections first
+        if -(-self.duration // SLOT_SPACING) + self.duration * int(self.tx_rate) > EVENT_BUDGET:
+            raise SimConfigError("duration", f"queues over the {EVENT_BUDGET}-event budget")
         if self.fork_win_extra < 0:
             raise SimConfigError("fork_win_extra", "must be non-negative")
         if self.scheme not in ("stub", "ed25519"):
@@ -176,6 +179,8 @@ class SimConfig:
         kwargs: dict = {}
         for key, value in data.items():
             if key == "config_version":
+                if type(value) is not int or value != 1:
+                    raise SimConfigError(key, f"must be 1, not {value!r}")
                 continue
             if key not in known:
                 raise SimConfigError(key, "unknown config key")
@@ -738,10 +743,11 @@ class _VerifiedMemo(SignatureScheme):
     reaches the plain scheme on every call, and only valid signatures grow
     the store. keypair and sign delegate unchanged.
 
-    The store is a HeightCache: a triple is filed at `height`, which the
-    simulator keeps at its lowest node head, and dropped with the rest of
-    the simulator's shared stores once that falls below their horizon. A
-    dropped triple that is asked about again is verified again.
+    The store is a HeightCache written only through put, so every triple is
+    filed, at `height`, which the simulator keeps at its lowest node head. It
+    is dropped with the rest of the simulator's shared stores once that
+    falls below their horizon; no checkpoint keeps one. A dropped triple
+    that is asked about again is verified again.
     """
 
     def __init__(self, plain: SignatureScheme) -> None:
@@ -749,7 +755,6 @@ class _VerifiedMemo(SignatureScheme):
         self.name = plain.name
         self.height = 0
         self.store = HeightCache()  # verified triple -> True
-        self.verified = self.store.keys()  # the triples held, as a live view
 
     def keypair(self, seed: bytes) -> tuple[bytes, NodeId]:
         return self.plain.keypair(seed)
@@ -882,7 +887,7 @@ class Simulator:
             # runs after everything already scheduled for this tick
             for kind, payload in queue[tick]:
                 processed += 1
-                if processed > 5_000_000:
+                if processed > EVENT_BUDGET:
                     raise RuntimeError("event budget exceeded; runaway cascade")
                 if kind == EV_DELIVER:
                     target, sender, message = payload
@@ -913,14 +918,7 @@ class Simulator:
         if horizon <= self._horizon:
             return
         self._horizon = horizon
-        nodes = self.nodes
-
-        def checkpoint(height: int, block_hash: int) -> bool:
-            return height % CHECKPOINT_SPACING == 0 and any(
-                block_hash in node.state.blocks for node in nodes
-            )
-
-        self.snapshot_store.drop_below(horizon, keep=checkpoint)
+        self.snapshot_store.drop_below(horizon)
         self.verdict_cache.drop_below(horizon)
         self.scheme.store.drop_below(horizon)
 
@@ -1023,7 +1021,7 @@ class TrialsResult:
     hard_fork_ci: tuple[float, float]
     misled_nodes: int
     honest_node_runs: int
-    misled_ci: tuple[float, float]
+    misled_ci: "tuple[float, float] | None"  # None when no node was honest
     rows: list
 
     def to_json(self) -> str:
@@ -1088,8 +1086,8 @@ def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
         hard_fork_runs=fork_runs,
         hard_fork_ci=wilson_interval(fork_runs, trials),
         misled_nodes=totals["misled_events"],
-        honest_node_runs=max(honest_total, 1),
-        misled_ci=wilson_interval(totals["misled_events"], max(honest_total, 1)),
+        honest_node_runs=honest_total,
+        misled_ci=wilson_interval(totals["misled_events"], honest_total) if honest_total else None,
         rows=rows,
     )
 

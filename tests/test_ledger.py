@@ -883,7 +883,7 @@ def test_head_snapshot_stores_only_live_outputs():
 
 def test_shared_caches_serve_second_ledger():
     parties = keys(6)
-    snapshots, verdicts = {}, {}
+    snapshots, verdicts = HeightCache(), HeightCache()
     funding = fund_accounts({nid: 10**9 for _, nid in parties})
     first = ChainState(CFG, STUB, funding, snapshot_store=snapshots, verdict_cache=verdicts)
     block = minted(first.genesis.block_hash, 1, payments(parties, 4), parties)
@@ -896,6 +896,7 @@ def test_shared_caches_serve_second_ledger():
 
 
 def test_dropped_entries_are_rebuilt_from_the_nearest_kept_snapshot(monkeypatch):
+    monkeypatch.setattr(ledger, "CHECKPOINT_SPACING", 4)
     parties = keys(6)
     snapshots, verdicts = HeightCache(), HeightCache()
     funding = fund_accounts({nid: 10**9 for _, nid in parties})
@@ -907,11 +908,12 @@ def test_dropped_entries_are_rebuilt_from_the_nearest_kept_snapshot(monkeypatch)
         chain.append(block)
     head = state.head_indices()
 
-    # genesis is never filed; height 3 stays as a checkpoint
-    snapshots.drop_below(7, keep=lambda height, block_hash: height == 3)
+    # every entry is filed, so the drop empties both stores; the node's own
+    # checkpoints, genesis and height 4, stay
+    snapshots.drop_below(7)
     verdicts.drop_below(7)
-    assert set(snapshots) == {state.genesis.block_hash, chain[2].block_hash}
-    assert not verdicts
+    assert not snapshots and not verdicts
+    assert set(state._checkpoints) == {state.genesis.block_hash, chain[3].block_hash}
 
     replayed = []
     apply_tx = ledger.TxIndices.apply_tx
@@ -919,7 +921,7 @@ def test_dropped_entries_are_rebuilt_from_the_nearest_kept_snapshot(monkeypatch)
         ledger.TxIndices, "apply_tx", lambda indices, tx: replayed.append(tx) or apply_tx(indices, tx)
     )
     rebuilt = state.head_indices()
-    assert replayed == [tx for block in chain[3:] for tx in block.transactions]
+    assert replayed == [tx for block in chain[4:] for tx in block.transactions]
     assert rebuilt == head and rebuilt is not head
     assert state.head_indices() is rebuilt  # stored again, at its height
 

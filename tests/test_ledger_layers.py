@@ -221,7 +221,7 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
 
         # a clone's writes never reach the snapshot it was cut from, even
         # when cutting it collapsed that snapshot
-        source = state.snapshots[parent.block_hash]
+        source = state._snapshot(parent.block_hash)
         twin = source.clone()
         for tx in txs[: len(txs) - poisoned]:
             twin.apply_tx(tx)
@@ -239,7 +239,7 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
         assert Plain.of(source) == before
 
     for block_hash in state.blocks:
-        snapshot = state.snapshots[block_hash]
+        snapshot = state._snapshot(block_hash)
         assert Plain.of(snapshot) == replay_ancestry(state, block_hash, genesis)
         if large:  # too few writes to collapse: every snapshot shares the base
             assert snapshot._balances_base is genesis_indices._balances_base
@@ -402,7 +402,7 @@ def test_snapshot_equality_and_total_value_match_plain_contents(model, large, da
         if state.apply_block(block).stored:
             stored.append(block.block_hash)
 
-    snapshots = [state.snapshots[h] for h in stored]
+    snapshots = [state._snapshot(h) for h in stored]
     plains = [Plain.of(s) for s in snapshots]
     snapshots += [rebuilt(p) for p in plains] + [state.replay_from_genesis()]
     plains += plains + [Plain.of(snapshots[-1])]
@@ -478,7 +478,8 @@ def test_the_oracle_allocates_nothing_per_account():
 def unspent_grant(state: ChainState) -> Outpoint:
     """A filler's genesis output, never spent."""
     node = FILLER[5]
-    return next(op for op, out in state._genesis_indices.utxos.items() if out.owner == node)
+    genesis = state._checkpoints[state.genesis.block_hash]
+    return next(op for op, out in genesis.utxos.items() if out.owner == node)
 
 
 # (model, collapse the head first, corruption, expected field, its key)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from scorechain import simnet
+from scorechain import ledger, simnet
 from scorechain.analysis import SafetyParams
 from scorechain.cli import _three_sigma_ok, main as cli_main
 from scorechain.core_types import (
@@ -146,6 +146,60 @@ def test_cli_rejects_malformed_config_with_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert cli_main(["simulate", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_tx_rate_must_be_finite():
+    for rate in (math.inf, math.nan):
+        with pytest.raises(SimConfigError) as err:
+            SimConfig(tx_rate=rate).validate()
+        assert err.value.key == "tx_rate"
+    # JSON's Infinity and NaN decode as floats, so from_dict must refuse them too
+    for text in ('{"tx_rate": Infinity}', '{"tx_rate": NaN}'):
+        with pytest.raises(SimConfigError) as err:
+            SimConfig.from_dict(json.loads(text))
+        assert err.value.key == "tx_rate"
+
+
+def test_a_run_that_queues_past_the_event_budget_is_refused():
+    # proposal slots plus whole injections, all queued before any event runs
+    def queued(cfg):
+        return -(-cfg.duration // simnet.SLOT_SPACING) + cfg.duration * int(cfg.tx_rate)
+
+    at_budget = SimConfig(duration=3 * (simnet.EVENT_BUDGET // 7), tx_rate=2.0)
+    assert queued(at_budget) <= simnet.EVENT_BUDGET
+    at_budget.validate()
+    over = replace(at_budget, duration=at_budget.duration + 3)
+    assert queued(over) > simnet.EVENT_BUDGET
+    with pytest.raises(SimConfigError) as err:
+        over.validate()
+    assert err.value.key == "duration"
+    with pytest.raises(SimConfigError) as err:
+        SimConfig.from_dict(over.to_dict())
+    assert err.value.key == "duration"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"tx_rate": Infinity}', "tx_rate"),
+        ('{"tx_rate": NaN}', "tx_rate"),
+        ('{"duration": 2000000, "tx_rate": 3}', "duration"),
+    ],
+)
+def test_cli_names_an_unrunnable_rate_or_duration(text, key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
+def test_config_version_must_be_the_one_to_dict_writes():
+    assert SimConfig.from_dict({"config_version": 1}) == SimConfig()
+    assert SimConfig.from_dict({}) == SimConfig()
+    for version in (2, "x", None, True, 1.0):
+        with pytest.raises(SimConfigError) as err:
+            SimConfig.from_dict({"config_version": version})
+        assert err.value.key == "config_version"
 
 
 def test_latency_spec_sampling():
@@ -323,7 +377,7 @@ def test_memo_verifies_each_valid_signature_once(monkeypatch):
     assert sim.run().blocks_minted > 0
     verified = [triple for triple, ok in calls if ok]
     assert len(verified) == len(set(verified)) > 0
-    assert sim.scheme.verified == set(verified)
+    assert set(sim.scheme.store) == set(verified)
     # every node checks the same signatures, so most questions are repeats
     assert len(asked) > 2 * len(calls)
 
@@ -339,7 +393,7 @@ def test_memo_never_remembers_a_failed_check(monkeypatch):
     assert memo.verify(node_id, b"payload", signature)
     assert memo.verify(node_id, b"payload", signature)
     assert len(calls) == 4
-    assert memo.verified == {(node_id.public_key, b"payload", signature)}
+    assert set(memo.store) == {(node_id.public_key, b"payload", signature)}
 
 
 def test_each_simulator_has_its_own_memo(monkeypatch):
@@ -348,7 +402,7 @@ def test_each_simulator_has_its_own_memo(monkeypatch):
     secret, node_id = first.keypair(b"memo")
     signature = first.sign(secret, b"payload")
     assert first.verify(node_id, b"payload", signature)
-    assert second.verified == set()
+    assert set(second.store) == set()
     assert second.verify(node_id, b"payload", signature)
     assert len(calls) == 2
 
@@ -399,6 +453,38 @@ def test_shared_stores_do_not_grow_with_height(strategy):
     assert long_bytes <= 1.5 * short_bytes
 
 
+@pytest.mark.parametrize("strategy", [Strategy.NONE, Strategy.EQUIVOCATE], ids=lambda s: s.value)
+def test_every_shared_entry_is_filed_at_a_height(strategy):
+    cfg = SimConfig()
+    if strategy is not Strategy.NONE:
+        cfg = replace(cfg, n_nodes=12, adversary_fraction=0.25, adversary_strategy=strategy)
+    sim = Simulator(cfg)
+    assert sim.run().blocks_minted > 0
+    for store in (sim.snapshot_store, sim.verdict_cache, sim.scheme.store):
+        assert store._filed.keys() == store.keys()
+
+
+def test_a_rebuild_replays_only_the_blocks_above_the_last_checkpoint(monkeypatch):
+    monkeypatch.setattr(ledger, "CHECKPOINT_SPACING", 8)
+    sim = Simulator(replace(SMALL, duration=120))
+    sim.run()
+    replayed = []
+    apply_tx = ledger.TxIndices.apply_tx
+    monkeypatch.setattr(
+        ledger.TxIndices, "apply_tx", lambda indices, tx: replayed.append(tx) or apply_tx(indices, tx)
+    )
+    for node in sim.nodes:
+        state = node.state
+        assert state.height >= 8
+        sim.snapshot_store.drop_below(state.height + 1)
+        replayed.clear()
+        head = state.head_indices()
+        last = state.height - state.height % 8
+        above = [state.blocks[h] for h in state.main_by_height[last + 1 :]]
+        assert replayed == [tx for block in above for tx in block.transactions]
+        assert head == state.replay_from_genesis()
+
+
 # each shape's run checks the replay oracle on every switch, and
 # run_and_replay checks every node's head state once more after the run
 MISS_SHAPES = {
@@ -440,7 +526,7 @@ def test_dropped_entries_cost_work_never_an_answer(name, monkeypatch):
     # the horizon above every head and no checkpoint but genesis: each entry
     # is dropped at the end of the tick that filed it
     monkeypatch.setattr(simnet, "HORIZON_SLACK", -(10**9))
-    monkeypatch.setattr(simnet, "CHECKPOINT_SPACING", 10**9)
+    monkeypatch.setattr(ledger, "CHECKPOINT_SPACING", 10**9)
     rebuilt = []
     rebuild = ChainState._rebuild_snapshot
 
@@ -540,6 +626,15 @@ def test_run_trials_aggregates_counters():
         run_trials(cfg, trials=0)
 
 
+def test_trials_without_an_honest_node_report_no_misled_interval():
+    cfg = replace(SMALL, n_nodes=6, duration=30, adversary_fraction=1.0)
+    result = run_trials(cfg, trials=2)
+    assert result.honest_node_runs == 0
+    assert result.misled_nodes == 0
+    assert result.misled_ci is None
+    assert json.loads(result.to_json())["misled_ci"] is None
+
+
 def test_parallel_trials_match_serial():
     cfg = replace(SMALL, n_nodes=8, duration=60)
     serial = run_trials(cfg, trials=4, jobs=1)
@@ -616,6 +711,40 @@ def test_trials_csv_layout(tmp_path):
     assert lines[0].startswith("seed,misled_events,hard_forks,")
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "5"
+
+
+def test_simulate_reruns_from_its_written_config(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli_main(["simulate", "--seed", "7", "--out", str(first)]) == 0
+    config = str(first / "config.json")
+    assert cli_main(["simulate", "--config", config, "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+    assert json.loads((first / "report.json").read_text())["seed"] == 7
+
+
+def test_trials_command_writes_its_result(tmp_path, capsys):
+    argv = ["trials", "--trials", "2", "--seed", "5", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    assert "trials=2" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "trials.json").read_text())
+    assert sorted(payload) == [
+        "base_seed",
+        "hard_fork_ci",
+        "hard_fork_runs",
+        "honest_node_runs",
+        "maxs",
+        "means",
+        "mins",
+        "misled_ci",
+        "misled_nodes",
+        "rows",
+        "totals",
+        "trials",
+    ]
+    assert (payload["trials"], payload["base_seed"]) == (2, 5)
+    assert [row["seed"] for row in payload["rows"]] == [5, 6]
+    assert payload["honest_node_runs"] == 2 * SimConfig().n_nodes
 
 
 # -- miss-model Monte Carlo ----------------------------------------------------------------------
