@@ -395,8 +395,7 @@ class HeightCache(dict):
 
     def __init__(self) -> None:
         super().__init__()
-        # key -> its height; a put allocates no new container, so a store
-        # that is never dropped adds no garbage-collector work per block
+        # key -> its height: a put allocates no container for the collector
         self._filed: dict = {}
 
     def put(self, height: int, key, value) -> None:
@@ -542,12 +541,10 @@ class ChainState:
     Every entry is written through put, filed at its block's height, and the
     stores' owner may drop those below a horizon (simnet.Simulator does). A
     drop costs work, never an answer: a missing verdict is computed again,
-    and a missing snapshot of a stored block is rebuilt by replaying this
-    node's blocks from the nearest ancestor whose snapshot the store or this
-    node's checkpoints hold. The checkpoints, a map of this node's that no
-    drop reaches, hold the genesis state and the snapshot of each stored
-    block at a multiple of CHECKPOINT_SPACING, so a rebuild replays fewer
-    blocks than that.
+    and a missing snapshot is rebuilt by replaying this node's blocks from
+    the nearest ancestor the store or this node's checkpoints hold. The
+    checkpoints, which no drop reaches, hold the genesis state and each
+    stored block's snapshot at a multiple of CHECKPOINT_SPACING.
     """
 
     def __init__(
@@ -639,21 +636,20 @@ class ChainState:
 
     # -- snapshots -------------------------------------------------------------
 
-    def _snapshot(self, block_hash: int) -> TxIndices:
-        """The state after a stored block, from the store, else from this
-        node's checkpoints, else rebuilt."""
+    def _held(self, block_hash: int) -> "TxIndices | None":
+        """A block's snapshot from the store, else this node's checkpoints."""
         indices = self.snapshots.get(block_hash)
-        if indices is None and (indices := self._checkpoints.get(block_hash)) is None:
-            indices = self._rebuild_snapshot(block_hash)
-        return indices
+        return self._checkpoints.get(block_hash) if indices is None else indices
+
+    def _snapshot(self, block_hash: int) -> TxIndices:
+        """The state after a stored block, held or else rebuilt."""
+        indices = self._held(block_hash)
+        return self._rebuild_snapshot(block_hash) if indices is None else indices
 
     def _rebuild_snapshot(self, block_hash: int) -> TxIndices:
-        """Replay this node's blocks from the nearest ancestor whose snapshot
-        the store or the checkpoints hold, and store the result."""
+        """Replay this node's blocks from the nearest held ancestor; store it."""
         path: list[Block] = []
-        while (indices := self.snapshots.get(block_hash)) is None and (
-            indices := self._checkpoints.get(block_hash)
-        ) is None:
+        while (indices := self._held(block_hash)) is None:
             block = self.blocks[block_hash]
             path.append(block)
             block_hash = block.parent_hash

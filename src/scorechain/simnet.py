@@ -123,6 +123,11 @@ HORIZON_SLACK = 8
 EVENT_BUDGET = 5_000_000
 
 
+def queued_events(cfg: "SimConfig") -> int:
+    """Events run() queues before any runs: its proposal slots and whole injections."""
+    return -(-cfg.duration // SLOT_SPACING) + cfg.duration * int(cfg.tx_rate)
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     n_nodes: int = 20
@@ -153,8 +158,7 @@ class SimConfig:
             raise SimConfigError("duration", "must be positive")
         if not (math.isfinite(self.tx_rate) and self.tx_rate >= 0):
             raise SimConfigError("tx_rate", "must be finite and non-negative")
-        # run() queues every proposal slot and each tick's whole injections first
-        if -(-self.duration // SLOT_SPACING) + self.duration * int(self.tx_rate) > EVENT_BUDGET:
+        if queued_events(self) > EVENT_BUDGET:
             raise SimConfigError("duration", f"queues over the {EVENT_BUDGET}-event budget")
         if self.fork_win_extra < 0:
             raise SimConfigError("fork_win_extra", "must be non-negative")

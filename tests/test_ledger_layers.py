@@ -203,6 +203,14 @@ def replay_ancestry(state: ChainState, block_hash: int, genesis: Plain) -> Plain
     return plain
 
 
+def stored_snapshot(state, block_hash):
+    """A block's snapshot as stored: genesis's is a checkpoint, every other
+    stored block's must be in the store (a KeyError if it is not)."""
+    if block_hash == state.genesis.block_hash:
+        return state._checkpoints[block_hash]
+    return state.snapshots[block_hash]
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(TxModel), large=st.booleans(), data=st.data())
 def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, data):
@@ -221,7 +229,7 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
 
         # a clone's writes never reach the snapshot it was cut from, even
         # when cutting it collapsed that snapshot
-        source = state._snapshot(parent.block_hash)
+        source = stored_snapshot(state, parent.block_hash)
         twin = source.clone()
         for tx in txs[: len(txs) - poisoned]:
             twin.apply_tx(tx)
@@ -239,7 +247,7 @@ def test_stored_snapshots_equal_plain_replay_of_their_ancestry(model, large, dat
         assert Plain.of(source) == before
 
     for block_hash in state.blocks:
-        snapshot = state._snapshot(block_hash)
+        snapshot = stored_snapshot(state, block_hash)
         assert Plain.of(snapshot) == replay_ancestry(state, block_hash, genesis)
         if large:  # too few writes to collapse: every snapshot shares the base
             assert snapshot._balances_base is genesis_indices._balances_base
@@ -402,7 +410,7 @@ def test_snapshot_equality_and_total_value_match_plain_contents(model, large, da
         if state.apply_block(block).stored:
             stored.append(block.block_hash)
 
-    snapshots = [state._snapshot(h) for h in stored]
+    snapshots = [stored_snapshot(state, h) for h in stored]
     plains = [Plain.of(s) for s in snapshots]
     snapshots += [rebuilt(p) for p in plains] + [state.replay_from_genesis()]
     plains += plains + [Plain.of(snapshots[-1])]

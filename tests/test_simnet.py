@@ -160,16 +160,27 @@ def test_tx_rate_must_be_finite():
         assert err.value.key == "tx_rate"
 
 
-def test_a_run_that_queues_past_the_event_budget_is_refused():
-    # proposal slots plus whole injections, all queued before any event runs
-    def queued(cfg):
-        return -(-cfg.duration // simnet.SLOT_SPACING) + cfg.duration * int(cfg.tx_rate)
+def test_queued_events_counts_what_run_queues_first(monkeypatch):
+    for rate in (2.0, 1.5):
+        cfg = replace(SMALL, duration=31, tx_rate=rate)
+        sim = Simulator(cfg)
+        # a budget of 0 stops the run at its first event, with all it queued left
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError):
+            patch.setattr(simnet, "EVENT_BUDGET", 0)
+            sim.run()
+        queued = sum(map(len, sim._queue.values()))
+        if rate == int(rate):
+            assert simnet.queued_events(cfg) == queued
+        else:  # a fractional injection is drawn at random, so the count is a floor
+            assert simnet.queued_events(cfg) < queued
 
+
+def test_a_run_that_queues_past_the_event_budget_is_refused():
     at_budget = SimConfig(duration=3 * (simnet.EVENT_BUDGET // 7), tx_rate=2.0)
-    assert queued(at_budget) <= simnet.EVENT_BUDGET
+    assert simnet.queued_events(at_budget) <= simnet.EVENT_BUDGET
     at_budget.validate()
     over = replace(at_budget, duration=at_budget.duration + 3)
-    assert queued(over) > simnet.EVENT_BUDGET
+    assert simnet.queued_events(over) > simnet.EVENT_BUDGET
     with pytest.raises(SimConfigError) as err:
         over.validate()
     assert err.value.key == "duration"
