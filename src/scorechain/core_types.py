@@ -178,16 +178,25 @@ class TxModel(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Outpoint:
-    """Reference to one output of an earlier transaction."""
+    """Reference to one output of an earlier transaction.
+
+    Its hash is computed once, at construction: outpoints key the UTXO maps,
+    whose every lookup would otherwise hash a fresh tuple.
+    """
 
     tx_id: int
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.tx_id <= MAX_HASH:
             raise ValueError("outpoint tx_id out of range")
         if not 0 <= self.index <= MAX_U32:
             raise ValueError("outpoint index out of range")
+        object.__setattr__(self, "_hash", hash((self.tx_id, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def encode(self) -> bytes:
         return enc_u256(self.tx_id) + enc_u32(self.index)

@@ -13,13 +13,18 @@ fork point from genesis is kept only as the replay check's oracle.
 
 Every stored block keeps a snapshot of the live state (balances, nonces and
 unspent outputs; no spent-output history) after it, so switching branches is
-a pointer move, not an unwind. A snapshot is a frozen base shared with its
-relatives plus an overlay of the writes made since that base was built, so a
-block costs about its own writes, not the account count (see TxIndices for
-when an overlay is merged into a fresh base). A replay oracle can recompute
-the head snapshot from genesis after every switch to guard the incremental
-bookkeeping; it costs the replay plus a comparison of the two overlays when
-both sides still share a base, and never copies the account set (see
+a pointer move, not an unwind. A snapshot has three levels: a frozen base
+and a frozen shared level of later writes, both shared with its relatives,
+and its own writes, the only part a clone copies. So a block costs about its
+own writes, not the account count: a clone folds its own level into a fresh
+shared level once own**2 > 64 * (shared + 1), and right after, that level
+into a fresh base once shared**2 > 64 * (base + 1) (see TxIndices).
+validate_tx checks a transaction and applies it in the same pass.
+
+A replay oracle can recompute the head snapshot from genesis after every
+switch to guard the incremental bookkeeping; it costs the replay plus a
+comparison of the two sides' own and shared levels, merged at O(shared)
+cost, when both still share a base, and never copies the account set (see
 TxIndices). A mismatch names the first field and key that differ.
 """
 
@@ -112,9 +117,27 @@ DEAD_TX = frozenset(
 )
 
 
-# default of an overlay lookup, distinct from a spent UTXO's None tombstone
+# default of a level lookup, distinct from a spent UTXO's None tombstone
 _ABSENT = object()
 _AMOUNT = attrgetter("amount")
+
+
+def _read(own: dict, shared: dict, base: dict, key, default=None):
+    """key's value read down a map's levels: own writes, shared level, base."""
+    value = own.get(key, _ABSENT)
+    if value is _ABSENT and (value := shared.get(key, _ABSENT)) is _ABSENT:
+        value = base.get(key, default)
+    return value
+
+
+def _folded(shared: dict, own: dict) -> dict:
+    """shared overlaid by own, tombstones kept; shared itself when own is
+    empty, so an untouched map keeps sharing its shared level."""
+    if not own:
+        return shared
+    folded = dict(shared)
+    folded.update(own)
+    return folded
 
 
 def _merged(base: dict, overlay: dict) -> dict:
@@ -139,34 +162,43 @@ class TxIndices:
     an already-spent input and a never-created one get the same verdict,
     UNKNOWN_INPUT.
 
-    Each of the three maps is a frozen base plus this snapshot's own overlay
-    of writes. Reads look in the overlay first, then in the base; a spent
-    UTXO is a None tombstone in the overlay. A base is never written after
-    it is built, so every snapshot cloned from it may share it.
+    Each of the three maps has three levels, read top down: this snapshot's
+    own writes, a shared level of earlier writes, and a base. A spent UTXO
+    is a None tombstone in either level above the base. The shared level
+    and the base are never written after they are built, so every snapshot
+    cloned from them may share them.
 
-    clone() copies only the overlay and shares the base. Once the overlay
-    holds so many written keys that written**2 > 64 * (base size + 1),
-    clone() first collapses the snapshot being cloned in place: each map's
-    overlay is merged into a fresh base, which the clone then shares, and a
-    map whose overlay is empty keeps its base object. The content does not
-    change, so a snapshot shared through a store stays valid. The
-    rule keeps the overlay under about 8 * sqrt(base size) entries, which
-    balances the overlay copied on every clone against the base copied on
-    each collapse: a small state collapses every few blocks of fresh keys, a
-    large one keeps per-block memory at the size of the overlay.
+    clone() copies only the own level and shares the other two. Two rules,
+    each counting the entries of all three maps together, bound what is
+    copied. Once own**2 > 64 * (shared + 1), clone() first folds the
+    snapshot being cloned, in place: each map's own level is merged,
+    tombstones kept, into a fresh shared level, which the clone then shares.
+    Right after a fold, once shared**2 > 64 * (base + 1), it collapses the
+    snapshot too: each map's shared level is merged into a fresh base,
+    tombstones dropped. (Sizing the shared level before building it would
+    spare that rare collapse one copy of it, but would cost every fold a
+    pass over the own level.) A map with nothing to merge keeps its level
+    object. Neither step changes the content, so a snapshot shared through
+    a store stays valid, and clones cut from it earlier keep the levels
+    they share. The own level stays under about 8 * sqrt(shared) entries
+    and the shared level under about 8 * sqrt(base): each block copies its
+    own level, and the shared level or the base only as often as the level
+    above it fills.
 
     Accounts are keyed by public key bytes, which hash in C (a NodeId's hash
     is a Python call). The balances, nonces and utxos properties are merged
     read-only copies, keyed by NodeId, for tests and reports.
 
-    Equality (the replay oracle's check) and total_value build no merged
-    copy. Two snapshots sharing one base object, as a replay and the head do
-    until the head's chain first collapses, compare in time proportional to
-    their two overlays: every other key reads the same base. Snapshots with
-    different bases cost besides at most one C-level sweep of one base (both
-    only when they differ), which allocates nothing per account. A mismatch
-    is named by its first field and key. total_value sums the bases in C and
-    corrects the sum by each overlay entry, spent-output tombstones included.
+    Equality (the replay oracle's check) and total_value merge each map's
+    own and shared levels into one overlay, at O(shared) cost per
+    comparison, and build no merged copy of a base. Two snapshots sharing
+    one base object, as a replay and the head do until the head's chain
+    first collapses, compare in time proportional to their two overlays:
+    every other key reads the same base. Snapshots with different bases cost
+    besides at most one C-level sweep of one base (both only when they
+    differ), which allocates nothing per account. A mismatch is named by its
+    first field and key. total_value sums the bases in C and corrects the
+    sum by each overlay entry, spent-output tombstones included.
 
     issued counts all value ever created (initial allocation plus coinbase);
     burned counts UTXO input value not re-emitted as outputs. Conservation:
@@ -174,9 +206,9 @@ class TxIndices:
     """
 
     __slots__ = (
-        "_balances", "_balances_base",
-        "_nonces", "_nonces_base",
-        "_utxos", "_utxos_base",
+        "_balances", "_balances_shared", "_balances_base",
+        "_nonces", "_nonces_shared", "_nonces_base",
+        "_utxos", "_utxos_shared", "_utxos_base",
         "issued", "burned",
     )
 
@@ -192,6 +224,9 @@ class TxIndices:
         self._balances_base = {n.public_key: v for n, v in (balances or {}).items()}
         self._nonces_base = {n.public_key: v for n, v in (nonces or {}).items()}
         self._utxos_base = utxos if utxos is not None else {}
+        self._balances_shared: dict[bytes, int] = {}
+        self._nonces_shared: dict[bytes, int] = {}
+        self._utxos_shared: "dict[Outpoint, TxOutput | None]" = {}
         self._balances: dict[bytes, int] = {}
         self._nonces: dict[bytes, int] = {}
         self._utxos: "dict[Outpoint, TxOutput | None]" = {}
@@ -199,16 +234,23 @@ class TxIndices:
         self.burned = burned
 
     def clone(self) -> "TxIndices":
-        written = len(self._balances) + len(self._nonces) + len(self._utxos)
-        base_size = (
-            len(self._balances_base) + len(self._nonces_base) + len(self._utxos_base)
-        )
-        if written * written > 64 * (base_size + 1):
-            self._collapse()
+        own = len(self._balances) + len(self._nonces) + len(self._utxos)
+        shared = len(self._balances_shared) + len(self._nonces_shared) + len(self._utxos_shared)
+        if own * own > 64 * (shared + 1):
+            self._fold()
+            shared = (
+                len(self._balances_shared) + len(self._nonces_shared) + len(self._utxos_shared)
+            )
+            base = len(self._balances_base) + len(self._nonces_base) + len(self._utxos_base)
+            if shared * shared > 64 * (base + 1):
+                self._collapse()
         twin = TxIndices.__new__(TxIndices)
         twin._balances_base = self._balances_base
         twin._nonces_base = self._nonces_base
         twin._utxos_base = self._utxos_base
+        twin._balances_shared = self._balances_shared
+        twin._nonces_shared = self._nonces_shared
+        twin._utxos_shared = self._utxos_shared
         twin._balances = dict(self._balances)
         twin._nonces = dict(self._nonces)
         twin._utxos = dict(self._utxos)
@@ -216,127 +258,152 @@ class TxIndices:
         twin.burned = self.burned
         return twin
 
-    def _collapse(self) -> None:
-        """Merge each overlay into a fresh base, in place; content is unchanged.
-
-        A map whose overlay is empty keeps its base object (bases are never
-        written), so snapshots keep sharing the bases nobody wrote to.
-        """
-        self._balances_base = _merged(self._balances_base, self._balances)
-        self._nonces_base = _merged(self._nonces_base, self._nonces)
-        self._utxos_base = _merged(self._utxos_base, self._utxos)
+    def _fold(self) -> None:
+        """Merge each own level into a fresh shared level, in place; content
+        is unchanged, and a map with no own writes keeps its shared level."""
+        self._balances_shared = _folded(self._balances_shared, self._balances)
+        self._nonces_shared = _folded(self._nonces_shared, self._nonces)
+        self._utxos_shared = _folded(self._utxos_shared, self._utxos)
         self._balances, self._nonces, self._utxos = {}, {}, {}
 
-    # -- merged views (tests and reports) --------------------------------------
+    def _collapse(self) -> None:
+        """Fold, then merge each shared level into a fresh base, in place.
+
+        The content is unchanged, and a map whose shared level is empty keeps
+        its base object (bases are never written), so snapshots keep sharing
+        the bases nobody wrote to.
+        """
+        self._fold()
+        self._balances_base = _merged(self._balances_base, self._balances_shared)
+        self._nonces_base = _merged(self._nonces_base, self._nonces_shared)
+        self._utxos_base = _merged(self._utxos_base, self._utxos_shared)
+        self._balances_shared, self._nonces_shared, self._utxos_shared = {}, {}, {}
+
+    # -- reads -------------------------------------------------------------------
+
+    def nonce(self, public_key: bytes) -> int:
+        """The nonce the account with this key must use next."""
+        return _read(self._nonces, self._nonces_shared, self._nonces_base, public_key, 0)
 
     @property
     def balances(self) -> Mapping[NodeId, int]:
-        merged = _merged(self._balances_base, self._balances)
+        merged = _merged(*_split(self, "balances"))
         return MappingProxyType({NodeId(key): value for key, value in merged.items()})
 
     @property
     def nonces(self) -> Mapping[NodeId, int]:
-        merged = _merged(self._nonces_base, self._nonces)
+        merged = _merged(*_split(self, "nonces"))
         return MappingProxyType({NodeId(key): value for key, value in merged.items()})
 
     @property
     def utxos(self) -> Mapping[Outpoint, TxOutput]:
-        return MappingProxyType(_merged(self._utxos_base, self._utxos))
+        return MappingProxyType(_merged(*_split(self, "utxos")))
 
     def __eq__(self, other: object) -> bool:
-        """Equal content, however each side splits it between base and overlay."""
+        """Equal content, however each side splits it between its levels."""
         if not isinstance(other, TxIndices):
             return NotImplemented
         return _first_difference(self, other) is None
 
-    # -- validation ---------------------------------------------------------
+    # -- validation and application -------------------------------------------
 
     def validate_tx(self, tx: Transaction, scheme: SignatureScheme) -> "TxReject | None":
-        """None if the user transaction applies cleanly here, else the reason.
+        """Check a user transaction here and apply it if it passes.
 
-        A system (coinbase) transaction is always BAD_COINBASE here: a block's
-        coinbase is checked only by equality with the chain's coinbase rule.
+        Returns None when it applied, else the reason it is refused; a
+        refused transaction changes nothing. One pass reads each key through
+        the levels once. A system (coinbase) transaction is always
+        BAD_COINBASE here: a block's coinbase is checked only by equality
+        with the chain's coinbase rule, and apply_tx applies it.
         """
         if tx.is_coinbase():
             return TxReject.BAD_COINBASE
         body = tx.body
         if isinstance(body, AccountBody):
+            # the reads of _read, inlined on this hot path (an account value
+            # is never None)
+            nonces, balances = self._nonces, self._balances
             sender = tx.sender.public_key
-            expected = self._nonces.get(sender)
-            if expected is None:
+            expected = nonces.get(sender)
+            if expected is None and (expected := self._nonces_shared.get(sender)) is None:
                 expected = self._nonces_base.get(sender, 0)
-            if body.nonce < expected:
-                return TxReject.NONCE_REUSE
-            if body.nonce > expected:
-                return TxReject.NONCE_FUTURE
-            held = self._balances.get(sender)
-            if held is None:
+            if body.nonce != expected:
+                return TxReject.NONCE_REUSE if body.nonce < expected else TxReject.NONCE_FUTURE
+            held = balances.get(sender)
+            if held is None and (held := self._balances_shared.get(sender)) is None:
                 held = self._balances_base.get(sender, 0)
             if held < body.amount:
                 return TxReject.INSUFFICIENT_FUNDS
-        else:
-            reason = self._validate_utxo_spend(tx.sender, body)
-            if reason is not None:
-                return reason
+            if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
+                return TxReject.BAD_SIGNATURE
+            nonces[sender] = expected + 1
+            balances[sender] = held - body.amount
+            # read after the sender's write, which a payment to oneself sees
+            recipient = body.recipient.public_key
+            held = balances.get(recipient)
+            if held is None and (held := self._balances_shared.get(recipient)) is None:
+                held = self._balances_base.get(recipient, 0)
+            balances[recipient] = held + body.amount
+            return None
+        burned = self._validate_utxo_spend(tx.sender, body)
+        if isinstance(burned, TxReject):
+            return burned
         if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
             return TxReject.BAD_SIGNATURE
+        utxos = self._utxos
+        for op in body.inputs:
+            utxos[op] = None
+        for index, out in enumerate(body.outputs):
+            utxos[Outpoint(tx.tx_id, index)] = out
+        self.burned += burned
         return None
 
-    def _validate_utxo_spend(
-        self, sender: NodeId, body: UtxoBody
-    ) -> "TxReject | None":
+    def _validate_utxo_spend(self, sender: NodeId, body: UtxoBody) -> "TxReject | int":
+        """The reason a spend is refused here, else the value it burns."""
         if not body.inputs:
             return TxReject.EMPTY_INPUTS
         if not body.outputs:
             return TxReject.EMPTY_OUTPUTS
         if len(set(body.inputs)) != len(body.inputs):
             return TxReject.DOUBLE_SPEND
-        utxos, utxos_base = self._utxos, self._utxos_base
+        utxos, shared, base = self._utxos, self._utxos_shared, self._utxos_base
         in_sum = 0
         for op in body.inputs:
+            # _read, inlined on this hot path
             held = utxos.get(op, _ABSENT)
-            if held is _ABSENT:
-                held = utxos_base.get(op)
+            if held is _ABSENT and (held := shared.get(op, _ABSENT)) is _ABSENT:
+                held = base.get(op)
             if held is None:
                 return TxReject.UNKNOWN_INPUT
             if held.owner != sender:
                 return TxReject.WRONG_OWNER
             in_sum += held.amount
-        if sum(out.amount for out in body.outputs) > in_sum:
+        out_sum = sum(out.amount for out in body.outputs)
+        if out_sum > in_sum:
             return TxReject.OUTPUT_EXCEEDS_INPUT
-        return None
-
-    # -- application --------------------------------------------------------
+        return in_sum - out_sum
 
     def apply_tx(self, tx: Transaction) -> None:
-        """Mutate in place; caller must have validated first."""
+        """Apply a transaction unchecked, in place: a coinbase, or one a
+        check already passed elsewhere (a replay of stored blocks)."""
         body = tx.body
         coinbase = tx.is_coinbase()
         if isinstance(body, AccountBody):
-            balances = self._balances
+            balances, shared, base = self._balances, self._balances_shared, self._balances_base
             sender, recipient = tx.sender.public_key, body.recipient.public_key
             self._nonces[sender] = body.nonce + 1
             if coinbase:
                 self.issued += body.amount
             else:
-                held = balances.get(sender)
-                if held is None:
-                    held = self._balances_base.get(sender, 0)
-                balances[sender] = held - body.amount
-            held = balances.get(recipient)
-            if held is None:
-                held = self._balances_base.get(recipient, 0)
-            balances[recipient] = held + body.amount
+                balances[sender] = _read(balances, shared, base, sender, 0) - body.amount
+            balances[recipient] = _read(balances, shared, base, recipient, 0) + body.amount
             return
-        utxos = self._utxos
+        utxos, shared, base = self._utxos, self._utxos_shared, self._utxos_base
         in_sum = 0
         # a coinbase's one input is its height marker, not an output
         inputs = () if coinbase else body.inputs
         for op in inputs:
-            held = utxos.get(op, _ABSENT)
-            if held is _ABSENT:
-                held = self._utxos_base[op]
-            in_sum += held.amount
+            in_sum += _read(utxos, shared, base, op).amount
             utxos[op] = None
         out_sum = 0
         for index, out in enumerate(body.outputs):
@@ -348,7 +415,14 @@ class TxIndices:
             self.burned += in_sum - out_sum
 
 
-def _map_difference(overlay: dict, base: dict, other_overlay: dict, other_base: dict):
+def _split(indices: TxIndices, name: str) -> "tuple[dict, dict]":
+    """A map of a snapshot as its base and one overlay: its own level folded
+    over its shared level, tombstones kept."""
+    own, shared, base = (getattr(indices, f"_{name}{level}") for level in ("", "_shared", "_base"))
+    return base, _folded(shared, own)
+
+
+def _map_difference(base: dict, overlay: dict, other_base: dict, other_overlay: dict):
     """The first key two overlaid maps read differently, or _ABSENT if none.
 
     Each side reads every key written on either side into a patch, with None
@@ -420,10 +494,7 @@ def _first_difference(a: TxIndices, b: TxIndices) -> "tuple[str, object] | None"
         if getattr(a, name) != getattr(b, name):
             return name, None
     for name in ("balances", "nonces", "utxos"):
-        overlay, base = f"_{name}", f"_{name}_base"
-        key = _map_difference(
-            getattr(a, overlay), getattr(a, base), getattr(b, overlay), getattr(b, base)
-        )
+        key = _map_difference(*_split(a, name), *_split(b, name))
         if key is not _ABSENT:
             return name, key
     return None
@@ -432,14 +503,15 @@ def _first_difference(a: TxIndices, b: TxIndices) -> "tuple[str, object] | None"
 def total_value(indices: TxIndices) -> int:
     """All value currently held in accounts and unspent outputs.
 
-    The bases are summed in C, then corrected by each overlay entry, so no
-    merged copy is built.
+    The bases are summed in C, then corrected by each entry of the own and
+    shared levels merged, so no merged copy of a base is built.
     """
-    balances, utxos = indices._balances_base, indices._utxos_base
+    balances, balance_overlay = _split(indices, "balances")
+    utxos, utxo_overlay = _split(indices, "utxos")
     total = sum(balances.values()) + sum(map(_AMOUNT, utxos.values()))
-    for key, value in indices._balances.items():
+    for key, value in balance_overlay.items():
         total += value - balances.get(key, 0)
-    for op, out in indices._utxos.items():
+    for op, out in utxo_overlay.items():
         prior = utxos.get(op)
         total += (0 if out is None else out.amount) - (0 if prior is None else prior.amount)
     return total
@@ -454,15 +526,19 @@ def fund_accounts(alloc: Mapping[NodeId, int]) -> TxIndices:
 
 
 def fund_utxos(alloc: Mapping[NodeId, Sequence[int]]) -> TxIndices:
-    """Initial unspent outputs; outpoint ids derive from owner and slot."""
+    """Initial unspent outputs; outpoint ids derive from owner and slot.
+
+    Outputs are immutable, so an owner's grants of one amount share one.
+    """
     utxos: dict[Outpoint, TxOutput] = {}
     issued = 0
     for node, amounts in alloc.items():
+        outputs = {amount: TxOutput(node, amount) for amount in set(amounts) if amount > 0}
         for slot, amount in enumerate(amounts):
             if amount <= 0:
                 continue
             grant_id = hash256(b"initial-grant" + node.public_key + enc_u64(slot))
-            utxos[Outpoint(grant_id, 0)] = TxOutput(node, amount)
+            utxos[Outpoint(grant_id, 0)] = outputs[amount]
             issued += amount
     return TxIndices(utxos=utxos, issued=issued)
 
@@ -590,9 +666,7 @@ class ChainState:
         return self._snapshot(self.head.block_hash)
 
     def system_nonce_at(self, block_hash: int) -> int:
-        indices = self._snapshot(block_hash)
-        nonce = indices._nonces.get(SYSTEM_KEY)
-        return indices._nonces_base.get(SYSTEM_KEY, 0) if nonce is None else nonce
+        return self._snapshot(block_hash).nonce(SYSTEM_KEY)
 
     def has_block(self, block_hash: int) -> bool:
         return block_hash in self.blocks
@@ -758,7 +832,6 @@ class ChainState:
         for tx in block.transactions:
             if indices.validate_tx(tx, self.scheme) is not None:
                 return BlockReject.INVALID_TX
-            indices.apply_tx(tx)
         self.snapshots.put(block.height, block.block_hash, indices)
         return None
 

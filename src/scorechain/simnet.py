@@ -698,10 +698,8 @@ class InvalidPushAdversary(AdversaryNode):
         indices = self.state.head_indices().clone()
         for _ in range(cfg.chain.tx_count_min - 1):
             tx = self.build_payment()
-            if tx is None or indices.validate_tx(tx, sim.scheme) is not None:
-                continue
-            indices.apply_tx(tx)
-            filler.append(tx)
+            if tx is not None and indices.validate_tx(tx, sim.scheme) is None:
+                filler.append(tx)
         bad = self.build_invalid_tx()
         txs = tuple(filler) + (bad,)
         if len(txs) < cfg.chain.tx_count_min:

@@ -140,9 +140,10 @@ def propose_block(
 ) -> "Block | None":
     """Stage one: pack valid, non-conflicting transactions into a candidate.
 
-    Transactions are validated sequentially against the head state, so a
-    conflicting pair contributes exactly one member. Returns None when fewer
-    than the required minimum survive, a normal and retryable outcome.
+    Transactions are validated and applied one by one on a clone of the head
+    state, so a conflicting pair contributes exactly one member. Returns None
+    when fewer than the required minimum survive, a normal and retryable
+    outcome.
 
     The head clone the selected transactions ran on is the candidate's
     post-state. state.snapshots.put files it under the candidate's
@@ -166,7 +167,6 @@ def propose_block(
     for tx in mempool:
         verdict = indices.validate_tx(tx, state.scheme)
         if verdict is None:
-            indices.apply_tx(tx)
             selected.append(tx)
             if len(selected) >= cap:
                 break

@@ -96,8 +96,7 @@ def test_account_verdicts():
     (sa, a), (sb, b), _ = parties
 
     good = make_transaction(STUB, sa, a, AccountBody(b, 40, 0))
-    assert idx.validate_tx(good, STUB) is None
-    idx.apply_tx(good)
+    assert idx.validate_tx(good, STUB) is None  # and applied it
     assert idx.balances[a] == 60
     assert idx.balances[b] == 140
     assert idx.nonces[a] == 1
@@ -137,8 +136,7 @@ def test_utxo_verdicts():
     spend = make_transaction(
         STUB, sa, a, UtxoBody((grant_op(a),), (TxOutput(c, 70), TxOutput(a, 25)))
     )
-    assert idx.validate_tx(spend, STUB) is None
-    idx.apply_tx(spend)
+    assert idx.validate_tx(spend, STUB) is None  # and applied it
     assert grant_op(a) not in idx.utxos
     assert idx.utxos[Outpoint(spend.tx_id, 0)] == TxOutput(c, 70)
     assert idx.burned == 5  # 100 in, 95 out

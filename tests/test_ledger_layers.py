@@ -1,11 +1,13 @@
 """Layered ledger snapshots against a plain-dict replay, on random block trees.
 
-Each stored snapshot is a shared base plus an overlay of writes. These tests
-rebuild every stored snapshot's content from genesis with plain dicts and
-require equality, in both transaction models, with a base small enough to
-collapse every few blocks and one too large to collapse in a test's blocks.
+Each stored snapshot is a shared base, a shared level of later writes and its
+own writes. These tests rebuild every stored snapshot's content from genesis
+with plain dicts and require equality, in both transaction models, with a
+base small enough to collapse every few blocks and one too large to collapse
+in a test's blocks.
 """
 
+import random
 import tracemalloc
 from dataclasses import dataclass
 from hashlib import sha256
@@ -17,6 +19,7 @@ from scorechain import core_types, ledger
 from scorechain.core_types import (
     AccountBody,
     Block,
+    COINBASE_INDEX,
     ChainConfig,
     NodeId,
     Outpoint,
@@ -25,6 +28,7 @@ from scorechain.core_types import (
     TxModel,
     TxOutput,
     UtxoBody,
+    coinbase_transaction,
     enc_u64,
     enc_u256,
     get_scheme,
@@ -33,8 +37,10 @@ from scorechain.core_types import (
 from scorechain.incentive import RewardSchedule, make_coinbase_rule
 from scorechain.ledger import (
     ChainState,
+    HeightCache,
     LedgerInvariantError,
     TxIndices,
+    TxReject,
     fund_accounts,
     fund_utxos,
 )
@@ -281,20 +287,58 @@ def test_funding_accounts_hashes_nothing(monkeypatch):
     assert len(indices._balances_base) == 10_000
 
 
+MAPS = ("balances", "nonces", "utxos")
+
+
+def levels(indices: TxIndices) -> list:
+    """Each map's own, shared and base level objects."""
+    return [getattr(indices, f"_{m}{level}") for m in MAPS for level in ("", "_shared", "_base")]
+
+
+# (funded accounts, payees before a first fold, payees after it, folds, collapses)
+RULE_EDGES = [
+    # own**2 > 64 * (shared + 1) folds; right after a fold,
+    # shared**2 > 64 * (base + 1) collapses. Writes are the sender's nonce
+    # and balance, then one balance per payee
+    (8, 0, 6, False, False),  # own 8: 64 <= 64 * 1
+    (8, 0, 7, True, False),  # own 9: 81 > 64; shared 9: 81 <= 64 * 9
+    (8, 0, 22, True, False),  # shared 24: 576 <= 576
+    (8, 0, 23, True, True),  # shared 25: 625 > 576
+    (308, 7, 23, False, False),  # over shared 9, own 25: 625 <= 640
+    (308, 7, 24, True, False),  # own 26: 676 > 640; shared 33: 1,089 <= 19,776
+    (308, 0, 138, True, False),  # shared 140: 19,600 <= 64 * 309
+    (308, 0, 139, True, True),  # shared 141: 19,881 > 19,776
+]
+
+
 def test_clone_collapses_exactly_past_the_rule():
-    # written**2 > 64 * (base size + 1): over 8 funded accounts the bound is
-    # 576, so an overlay of 24 written entries is kept and one of 25 collapses
     secret, sender = PARTIES[0]
-    for payees, collapses in ((22, False), (23, True)):
-        indices = fund_accounts({nid: 10**6 for _, nid in PARTIES})
-        base = indices._balances_base
-        # the sender's nonce and balance, then one balance per payee
-        for nonce, payee in enumerate(FILLER[:payees]):
-            indices.apply_tx(make_transaction(STUB, secret, sender, AccountBody(payee, 1, nonce)))
+    for funded, first, payees, folds, collapses in RULE_EDGES:
+        owners = [nid for _, nid in PARTIES] + FILLER[600 - (funded - len(PARTIES)) :]
+        indices = fund_accounts(dict.fromkeys(owners, 10**6))
+        payments = [
+            make_transaction(STUB, secret, sender, AccountBody(payee, 1, nonce))
+            for nonce, payee in enumerate(FILLER[: first + payees])
+        ]
+        for tx in payments[:first]:
+            indices.apply_tx(tx)
+        if first:  # a first fold: a shared level of the nonce and first + 1 balances
+            indices.clone()
+            assert not indices._balances and len(indices._balances_shared) == first + 1
+        for tx in payments[first:]:
+            indices.apply_tx(tx)
         content = Plain.of(indices)
+        _, shared, base, *_, utxo_base = levels(indices)
         twin = indices.clone()
+        assert (indices._balances_shared is not shared) is folds
         assert (indices._balances_base is not base) is collapses
-        assert twin._balances_base is indices._balances_base
+        assert (not indices._balances and not indices._nonces) is folds
+        if collapses:
+            assert levels(indices)[1::3] == [{}, {}, {}]
+        assert indices._utxos_base is utxo_base  # nothing wrote it
+        # the clone copies the own levels and shares the rest
+        for level, (mine, theirs) in enumerate(zip(levels(indices), levels(twin))):
+            assert (mine is theirs) is (level % 3 > 0)
         assert Plain.of(indices) == Plain.of(twin) == content
 
 
@@ -302,20 +346,46 @@ def test_clone_collapses_exactly_past_the_rule():
     "model, blocks, written, untouched",
     [
         (TxModel.ACCOUNT, 16, "_balances_base", ["_utxos_base"]),
-        (TxModel.UTXO, 6, "_utxos_base", ["_balances_base", "_nonces_base"]),
+        (TxModel.UTXO, 9, "_utxos_base", ["_balances_base", "_nonces_base"]),
     ],
     ids=["ACCOUNT", "UTXO"],
 )
 def test_collapse_keeps_the_base_of_an_untouched_map(model, blocks, written, untouched):
     # account payments never write the UTXO map, and UTXO payments never
-    # write balances or nonces: once the written map's overlay has collapsed
-    # into a fresh base, every snapshot still shares the genesis base of the rest
+    # write balances or nonces: once the written map's shared level has
+    # collapsed into a fresh base, every snapshot still shares the genesis
+    # base of the rest
     genesis = FUNDING[model, False]
     snapshots = paid_ledger(model, genesis, blocks).snapshots.values()
     assert any(getattr(s, written) is not getattr(genesis, written) for s in snapshots)
     for snapshot in snapshots:
         for name in untouched:
             assert getattr(snapshot, name) is getattr(genesis, name), name
+
+
+@pytest.mark.parametrize("model, blocks", [(TxModel.ACCOUNT, 14), (TxModel.UTXO, 9)])
+def test_a_stored_snapshot_reads_the_same_after_a_descendant_folds_or_collapses(
+    model, blocks, monkeypatch
+):
+    # cutting a clone may fold or collapse, in place, the snapshot it is cut
+    # from, which the store still holds and earlier clones share levels with
+    stored = []  # (snapshot, its content, its level objects) as it was stored
+    put = HeightCache.put
+
+    def recording(cache, height, key, value):
+        if isinstance(value, TxIndices):
+            stored.append((value, Plain.of(value), levels(value)))
+        put(cache, height, key, value)
+
+    monkeypatch.setattr(HeightCache, "put", recording)
+    state = paid_ledger(model, FUNDING[model, False], blocks)
+    assert len(stored) == len(state.snapshots) == 2 * blocks  # candidates and blocks
+    rebuilt = set()
+    for snapshot, content, before in stored:
+        assert Plain.of(snapshot) == content
+        after = levels(snapshot)
+        rebuilt.update(level % 3 for level in range(9) if after[level] is not before[level])
+    assert {1, 2} <= rebuilt  # some stored snapshot folded, and some collapsed
 
 
 def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
@@ -375,6 +445,112 @@ def test_proposal_snapshot_is_the_candidate_post_state(monkeypatch):
         assert validated == []
         replay = replay_ancestry(ledger_state, block.block_hash, genesis)
         assert Plain.of(ledger_state.snapshots[block.block_hash]) == replay
+
+
+# -- validate_tx checks and applies in one pass --------------------------------------
+
+
+def pure_verdict(plain: Plain, tx: Transaction) -> "TxReject | None":
+    """The verdict of a check that writes nothing, on plain dicts: the rules
+    of validate_tx as they were before it also applied what it passed."""
+    if tx.is_coinbase():
+        return TxReject.BAD_COINBASE
+    body = tx.body
+    if isinstance(body, AccountBody):
+        expected = plain.nonces.get(tx.sender, 0)
+        if body.nonce < expected:
+            return TxReject.NONCE_REUSE
+        if body.nonce > expected:
+            return TxReject.NONCE_FUTURE
+        if plain.balances.get(tx.sender, 0) < body.amount:
+            return TxReject.INSUFFICIENT_FUNDS
+    else:
+        if not body.inputs:
+            return TxReject.EMPTY_INPUTS
+        if not body.outputs:
+            return TxReject.EMPTY_OUTPUTS
+        if len(set(body.inputs)) != len(body.inputs):
+            return TxReject.DOUBLE_SPEND
+        in_sum = 0
+        for op in body.inputs:
+            held = plain.utxos.get(op)
+            if held is None:
+                return TxReject.UNKNOWN_INPUT
+            if held.owner != tx.sender:
+                return TxReject.WRONG_OWNER
+            in_sum += held.amount
+        if sum(out.amount for out in body.outputs) > in_sum:
+            return TxReject.OUTPUT_EXCEEDS_INPUT
+    if not STUB.verify(tx.sender, tx.signing_bytes, tx.signature):
+        return TxReject.BAD_SIGNATURE
+    return None
+
+
+# the ways a transaction is refused, besides a coinbase and a forged signature
+REFUSALS = {
+    TxModel.ACCOUNT: ["reused nonce", "future nonce", "unfunded"],
+    TxModel.UTXO: ["double spend", "respent", "unknown input", "stolen", "inflated"],
+}
+
+
+def draw_transaction(data, model: TxModel, work: Plain, spent: list) -> Transaction:
+    """A payment valid on work, or a transaction refused there; spent lists
+    the outputs spent on the way to work."""
+    kind = data.draw(st.sampled_from(["valid", "coinbase", "forged"] + REFUSALS[model]))
+    secret, sender = PARTIES[data.draw(st.integers(0, len(PARTIES) - 1))]
+    payee = PAYEES[data.draw(st.integers(0, len(PAYEES) - 1))]
+    if model is TxModel.UTXO and not {out.owner for out in work.utxos.values()} & set(PAYEES[:8]):
+        kind = {"valid": "unknown input", "forged": "unknown input"}.get(kind, kind)
+    if kind in ("valid", "forged"):
+        tx = draw_payments(data, model, work.copy(), 1)[0]
+        return tx if kind == "valid" else Transaction(tx.sender, tx.body, bytes(32))
+    if kind == "coinbase":
+        if model is TxModel.ACCOUNT:
+            return coinbase_transaction(AccountBody(payee, 50, work.nonces.get(SYSTEM_ID, 0)))
+        marker = Outpoint(1, COINBASE_INDEX)
+        return coinbase_transaction(UtxoBody((marker,), (TxOutput(payee, 50),)))
+    if model is TxModel.ACCOUNT:
+        nonce = work.nonces.get(sender, 0)
+        body = {
+            "reused nonce": AccountBody(payee, 1, max(nonce - 1, 0)),  # valid while unused
+            "future nonce": AccountBody(payee, 1, nonce + 1),
+            "unfunded": AccountBody(payee, work.balances.get(sender, 0) + 1, nonce),
+        }[kind]
+    else:
+        ghost = Outpoint(12345, 0)
+        mine = [op for op, out in work.utxos.items() if out.owner == sender] or [ghost]
+        theirs = [op for op, out in work.utxos.items() if out.owner != sender] or [ghost]
+        inputs = {
+            "double spend": (mine[0], mine[0]),
+            "respent": (spent[-1] if spent else ghost,),
+            "unknown input": (ghost,),
+            "stolen": (theirs[0],),
+            "inflated": (mine[0],),
+        }[kind]
+        body = UtxoBody(inputs, (TxOutput(payee, 10**9 if kind == "inflated" else 1),))
+    return make_transaction(STUB, secret, sender, body)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(TxModel), data=st.data())
+def test_validate_tx_applies_exactly_what_it_passes(model, data):
+    # a random run of payments and refusals on one snapshot, cloned before
+    # each one, which now and then folds or collapses it: a refusal leaves
+    # it equal to that clone, a pass equal to the clone plus apply_tx
+    indices = FUNDING[model, False].clone()
+    work, spent = Plain.of(indices), []
+    for _ in range(data.draw(st.integers(1, 40), label="transactions")):
+        tx = draw_transaction(data, model, work, spent)
+        before = indices.clone()
+        verdict = indices.validate_tx(tx, STUB)
+        assert verdict is pure_verdict(work, tx)
+        if verdict is None:
+            before.apply_tx(tx)
+            work.apply(tx)
+            if model is TxModel.UTXO:
+                spent += tx.body.inputs
+        assert indices == before
+        assert Plain.of(indices) == work
 
 
 # -- the replay oracle and the value total, read through base and overlay -------------
@@ -490,37 +666,43 @@ def unspent_grant(state: ChainState) -> Outpoint:
     return next(op for op, out in genesis.utxos.items() if out.owner == node)
 
 
-# (model, collapse the head first, corruption, expected field, its key)
+# (model, how the head is first rebuilt in place, corruption, expected field, its key)
 CORRUPTIONS = {
-    "issued": (TxModel.ACCOUNT, False, lambda s, h: setattr(h, "issued", h.issued + 1), "issued"),
-    "burned": (TxModel.UTXO, False, lambda s, h: setattr(h, "burned", h.burned + 1), "burned"),
+    "issued": (TxModel.ACCOUNT, None, lambda s, h: setattr(h, "issued", h.issued + 1), "issued"),
+    "burned": (TxModel.UTXO, None, lambda s, h: setattr(h, "burned", h.burned + 1), "burned"),
     "balance": (
         TxModel.ACCOUNT,
-        False,
+        None,
         lambda s, h: h._balances.__setitem__(PAYEES[1].public_key, 1),
         f"balances[{PAYEES[1].public_key.hex()}]",
     ),
     "nonce": (
         TxModel.ACCOUNT,
-        False,
+        None,
         lambda s, h: h._nonces.__setitem__(PARTIES[3][1].public_key, 9),
         f"nonces[{PARTIES[3][1].public_key.hex()}]",
     ),
     "spent output": (
         TxModel.UTXO,
-        False,
+        None,
         lambda s, h: h._utxos.__setitem__(unspent_grant(s), None),
+        "utxos[{op.tx_id:x}:{op.index}]",
+    ),
+    "spent output in a folded shared level": (
+        TxModel.UTXO,
+        "_fold",
+        lambda s, h: h._utxos_shared.__setitem__(unspent_grant(s), None),
         "utxos[{op.tx_id:x}:{op.index}]",
     ),
     "balance in a collapsed base": (
         TxModel.ACCOUNT,
-        True,
+        "_collapse",
         lambda s, h: h._balances_base.__setitem__(FILLER[5].public_key, 1),
         f"balances[{FILLER[5].public_key.hex()}]",
     ),
     "output missing from a collapsed base": (
         TxModel.UTXO,
-        True,
+        "_collapse",
         lambda s, h: h._utxos_base.pop(unspent_grant(s)),
         "utxos[{op.tx_id:x}:{op.index}]",
     ),
@@ -529,12 +711,13 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_the_oracle_names_the_first_divergence(case):
-    model, collapse, corrupt, where = CORRUPTIONS[case]
+    model, rebuild, corrupt, where = CORRUPTIONS[case]
     state = paid_ledger(model, FUNDING[model, True], 2)
     state.assert_replay_matches()
     head = state.head_indices()
-    if collapse:
-        head._collapse()  # a fresh base that only this snapshot holds
+    if rebuild is not None:
+        # a fresh shared level, or base, that only this snapshot holds
+        getattr(head, rebuild)()
     corrupt(state, head)
     assert state.replay_from_genesis() != head
     if model is TxModel.UTXO:
@@ -542,3 +725,53 @@ def test_the_oracle_names_the_first_divergence(case):
     with pytest.raises(LedgerInvariantError) as raised:
         state.assert_replay_matches()
     assert str(raised.value) == f"incremental indices diverged from genesis replay at {where}"
+
+
+# -- what a block copies ---------------------------------------------------------------
+
+
+def test_a_pipeline_block_copies_few_state_entries(monkeypatch):
+    # the ledger_100k benchmark's pipeline at 20,000 accounts: 8 payments
+    # per block, proposed, witnessed, minted and applied, for 100 blocks.
+    # Counted per block: the own levels clone() copies, and every entry of
+    # each fresh shared level or base a fold or collapse builds
+    accounts, blocks, validators = 20_000, 100, 8
+    rng = random.Random(5)
+    keys = [STUB.keypair(b"copied" + enc_u64(i)) for i in range(accounts)]
+    state = ChainState(CFG, STUB, fund_accounts({nid: 10**9 for _, nid in keys}))
+    copied = []
+    clone = TxIndices.clone
+
+    def counting(indices):
+        before = levels(indices)
+        twin = clone(indices)
+        after = levels(indices)
+        count = sum(map(len, levels(twin)[::3]))
+        for own, shared, base, fresh_shared, fresh_base in zip(
+            before[::3], before[1::3], before[2::3], after[1::3], after[2::3]
+        ):
+            if fresh_base is not base:  # a fold, if this map had own writes, then a collapse
+                count += len(fresh_base) + (len(shared.keys() | own.keys()) if own else 0)
+            elif fresh_shared is not shared:
+                count += len(fresh_shared)
+        copied.append(count)
+        return twin
+
+    monkeypatch.setattr(TxIndices, "clone", counting)
+    nonces = {}
+    logs = [{} for _ in range(validators)]
+    for height in range(blocks):
+        batch = []
+        for _ in range(8):
+            sender = rng.randrange(validators, accounts)
+            recipient = rng.randrange(accounts - 1)
+            recipient += recipient >= sender
+            nonce = nonces[sender] = nonces.get(sender, -1) + 1
+            body = AccountBody(keys[recipient][1], rng.randint(1, 1000), nonce)
+            batch.append(make_transaction(STUB, *keys[sender], body))
+        proposer, *witnesses = [(height + k) % validators for k in range(3)]
+        candidate = propose_block(keys[proposer][1], state, batch, CFG)
+        sigs = [sign_witness(*keys[w], candidate, state, CFG, logs[w]) for w in witnesses]
+        assert state.apply_block(mint_block(candidate, sigs, CFG, STUB)).stored
+    assert len(copied) == blocks  # one clone per block, the proposal's
+    assert sum(copied) / blocks <= 400
