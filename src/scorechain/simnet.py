@@ -24,8 +24,9 @@ import json
 import math
 import random
 from collections import Counter, defaultdict, deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from typing import get_args, get_type_hints
 
 from .analysis import SafetyParams, misled_exponent, pr_invalid_witnessed, wilson_interval
 from .core_types import (
@@ -86,7 +87,7 @@ class LatencySpec:
     lo: int = 1
     hi: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.lo < 0 or self.hi < self.lo:
             raise SimConfigError("latency", "need 0 <= lo <= hi")
 
@@ -104,11 +105,6 @@ class Strategy(Enum):
 # per-height budget and the height can deadlock; distinct neighborhoods keep
 # fresh witnesses available, which is what the distance predicate is for.
 SIM_WITNESS_THRESHOLD = (MAX_HASH // 5) * 3
-
-
-def default_sim_chain() -> ChainConfig:
-    return ChainConfig(witness_threshold=SIM_WITNESS_THRESHOLD)
-
 
 SLOT_SPACING = 3  # ticks between consecutive proposal slots
 PROPOSAL_TIMEOUT = 16  # ticks a proposer waits for its witnesses
@@ -130,23 +126,26 @@ def queued_events(cfg: "SimConfig") -> int:
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
+    """One run's settings, checked at construction: a SimConfig that exists is
+    valid. Its JSON (to_dict, from_dict) is derived from the field types."""
+
     n_nodes: int = 20
     adversary_fraction: float = 0.0
     delivery_ratio: float = 0.9
     latency: LatencySpec = LatencySpec(1, 3)
-    chain: ChainConfig = field(default_factory=default_sim_chain)
+    chain: ChainConfig = ChainConfig(witness_threshold=SIM_WITNESS_THRESHOLD)
     tx_rate: float = 1.5
     duration: int = 200
     seed: int = 42
     adversary_strategy: Strategy = Strategy.NONE
     tx_model: TxModel = TxModel.ACCOUNT
     scheme: str = "stub"
-    rewards: "RewardSchedule | None" = None
+    rewards: RewardSchedule | None = None
     fork_win_extra: int = 0  # the l of the safety analysis
     replay_check: bool = False
     trace: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # a proposer cannot witness its own block
         if self.n_nodes <= self.chain.witness_m:
             raise SimConfigError("n_nodes", "must exceed chain.witness_m")
@@ -162,115 +161,86 @@ class SimConfig:
             raise SimConfigError("duration", f"queues over the {EVENT_BUDGET}-event budget")
         if self.fork_win_extra < 0:
             raise SimConfigError("fork_win_extra", "must be non-negative")
-        if self.scheme not in ("stub", "ed25519"):
-            raise SimConfigError("scheme", "must be 'stub' or 'ed25519'")
-        self.latency.validate()
+        try:
+            get_scheme(self.scheme)
+        except ValueError as exc:
+            raise SimConfigError("scheme", str(exc)) from None
 
     def to_dict(self) -> dict:
-        data: dict = {"config_version": 1}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            codec = _JSON_CODECS.get(f.name)
-            data[f.name] = value if codec is None or value is None else codec[0](value)
-        return data
+        return {"config_version": 1, **_to_json(self)}
 
     @classmethod
     def from_dict(cls, data: object) -> "SimConfig":
-        """Decode to_dict output; a malformed key raises SimConfigError by name."""
+        """Decode to_dict output; a missing key, at any level, keeps the default
+        config's value, and a malformed one raises SimConfigError by name."""
         if not isinstance(data, dict):
             raise SimConfigError("config", "must be a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key == "config_version":
-                if type(value) is not int or value != 1:
-                    raise SimConfigError(key, f"must be 1, not {value!r}")
-                continue
-            if key not in known:
-                raise SimConfigError(key, "unknown config key")
-            codec = _JSON_CODECS.get(key)
-            if value is None and known[key].default is None:
-                kwargs[key] = None
-            elif codec is not None:
-                kwargs[key] = codec[1](value)
-            else:
-                kwargs[key] = _json_scalar(key, value, type(known[key].default))
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        data = dict(data)
+        version = data.pop("config_version", 1)
+        if type(version) is not int or version != 1:
+            raise SimConfigError("config_version", f"must be 1, not {version!r}")
+        return _from_json("", cls, data, cls())
 
 
-# -- JSON codecs ---------------------------------------------------------------------
+# -- JSON ------------------------------------------------------------------------------
 
 
-def _json_scalar(key: str, value: object, kind: type):
+def _hex_field(f) -> bool:
+    """Whether a field is declared for 256-bit values: its default is past 2**53,
+    the largest integer every JSON reader holds exactly."""
+    return type(f.default) is int and f.default > 2**53
+
+
+def _to_json(value: object, hex_int: bool = False) -> object:
+    """A dataclass as an object of its fields, an Enum as its lower-case name,
+    a 256-bit field in hex, and any other value as is."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name), _hex_field(f)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.name.lower()
+    return f"{value:x}" if hex_int else value
+
+
+def _from_json(key: str, kind: type, value: object, default: object, hex_int: bool = False):
+    """value, read from JSON at key, as a kind; missing fields keep default's."""
+    if type(None) in get_args(kind):  # X | None
+        if value is None:
+            return None
+        (kind,) = set(get_args(kind)) - {type(None)}
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise SimConfigError(key, "must be a JSON object")
+        hints = get_type_hints(kind)
+        known = {f.name: f for f in fields(kind)}
+        base = kind() if default is None else default
+        changes = {}
+        for name, item in value.items():
+            at = f"{key}.{name}" if key else name
+            if name not in known:
+                raise SimConfigError(at, "unknown config key")
+            hex_item = _hex_field(known[name])
+            changes[name] = _from_json(at, hints[name], item, getattr(base, name), hex_item)
+        try:
+            return replace(base, **changes)
+        except SimConfigError:
+            raise
+        except ValueError as exc:
+            raise SimConfigError(key, str(exc)) from None
+    if issubclass(kind, Enum):
+        name = value.upper() if isinstance(value, str) else None
+        if name not in kind.__members__:
+            choices = ", ".join(m.name.lower() for m in kind)
+            raise SimConfigError(key, f"unknown value {value!r}; one of {choices}")
+        return kind[name]
+    if hex_int and isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            raise SimConfigError(key, "must be hex") from None
     # JSON has one number type, so a float field also takes an integer
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise SimConfigError(key, f"must be {kind.__name__}, not {type(value).__name__}")
-
-
-def _decode_fields(key: str, cls: type, data: object):
-    """An instance of dataclass cls from the JSON object at key.
-
-    Each name must be a field of cls and each value of its default's type;
-    missing fields keep their defaults.
-    """
-    if not isinstance(data, dict):
-        raise SimConfigError(key, "must be a JSON object")
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    for name, value in data.items():
-        if name not in kinds:
-            raise SimConfigError(f"{key}.{name}", "unknown config key")
-        _json_scalar(f"{key}.{name}", value, kinds[name])
-    try:
-        return cls(**data)
-    except ValueError as exc:
-        raise SimConfigError(key, str(exc)) from None
-
-
-def _fields_codec(key: str, cls: type) -> tuple:
-    return (asdict, lambda data: _decode_fields(key, cls, data))
-
-
-def _enum_codec(key: str, cls: type[Enum]) -> tuple:
-    def decode(value: object) -> Enum:
-        name = value.upper() if isinstance(value, str) else None
-        if name not in cls.__members__:
-            choices = ", ".join(m.name.lower() for m in cls)
-            raise SimConfigError(key, f"unknown value {value!r}; one of {choices}")
-        return cls[name]
-
-    return (lambda member: member.name.lower(), decode)
-
-
-def _chain_to_json(chain: ChainConfig) -> dict:
-    return {**asdict(chain), "witness_threshold": f"{chain.witness_threshold:x}"}
-
-
-def _chain_from_json(data: object) -> ChainConfig:
-    # the threshold is written in hex, and defaults to the simulator's own
-    if isinstance(data, dict):
-        threshold = data.get("witness_threshold", SIM_WITNESS_THRESHOLD)
-        if isinstance(threshold, str):
-            try:
-                threshold = int(threshold, 16)
-            except ValueError:
-                raise SimConfigError("chain.witness_threshold", "must be hex") from None
-        data = {**data, "witness_threshold": threshold}
-    return _decode_fields("chain", ChainConfig, data)
-
-
-# (encode, decode) for the SimConfig fields that are not JSON scalars; every
-# other field is written as is and type-checked against its default on reading.
-# A field whose default is None reads and writes None as null.
-_JSON_CODECS = {
-    "latency": _fields_codec("latency", LatencySpec),
-    "chain": (_chain_to_json, _chain_from_json),
-    "adversary_strategy": _enum_codec("adversary_strategy", Strategy),
-    "tx_model": _enum_codec("tx_model", TxModel),
-    "rewards": _fields_codec("rewards", RewardSchedule),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +746,6 @@ class _VerifiedMemo(SignatureScheme):
 
 class Simulator:
     def __init__(self, cfg: SimConfig):
-        cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         # verified signatures, like the two stores below, are shared by every
@@ -1049,7 +1018,6 @@ def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
         raise SimConfigError("trials", "must be >= 1")
     if jobs < 1:
         raise SimConfigError("jobs", "must be >= 1")
-    cfg.validate()
     seeds = [cfg.seed + i for i in range(trials)]
     workers = min(jobs, trials)
     if workers > 1:

@@ -7,8 +7,10 @@ import random
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scorechain import ledger, simnet
 from scorechain.analysis import SafetyParams
@@ -17,6 +19,7 @@ from scorechain.core_types import (
     ChainConfig,
     Ed25519Scheme,
     HashStubScheme,
+    MAX_HASH,
     Transaction,
     TxModel,
     get_scheme,
@@ -44,28 +47,29 @@ SMALL = SimConfig(n_nodes=10, duration=80, tx_rate=1.0, seed=5)
 
 
 def test_validation_names_the_offending_key():
+    # every check runs at construction, so each config is built inside raises
     cases = [
-        (SimConfig(n_nodes=1), "n_nodes"),
+        (lambda: SimConfig(n_nodes=1), "n_nodes"),
         # a proposer cannot witness itself, so m witnesses need n > m nodes
-        (SimConfig(n_nodes=2), "n_nodes"),
+        (lambda: SimConfig(n_nodes=2), "n_nodes"),
         (
-            SimConfig(
+            lambda: SimConfig(
                 n_nodes=4,
                 chain=ChainConfig(witness_m=4, witness_threshold=SIM_WITNESS_THRESHOLD),
             ),
             "n_nodes",
         ),
-        (SimConfig(adversary_fraction=1.5), "adversary_fraction"),
-        (SimConfig(delivery_ratio=0.0), "delivery_ratio"),
-        (SimConfig(duration=0), "duration"),
-        (SimConfig(tx_rate=-0.5), "tx_rate"),
-        (SimConfig(fork_win_extra=-1), "fork_win_extra"),
-        (SimConfig(scheme="rsa"), "scheme"),
-        (SimConfig(latency=LatencySpec(5, 2)), "latency"),
+        (lambda: SimConfig(adversary_fraction=1.5), "adversary_fraction"),
+        (lambda: SimConfig(delivery_ratio=0.0), "delivery_ratio"),
+        (lambda: SimConfig(duration=0), "duration"),
+        (lambda: SimConfig(tx_rate=-0.5), "tx_rate"),
+        (lambda: SimConfig(fork_win_extra=-1), "fork_win_extra"),
+        (lambda: SimConfig(scheme="rsa"), "scheme"),
+        (lambda: SimConfig(latency=LatencySpec(5, 2)), "latency"),
     ]
-    for cfg, key in cases:
+    for build, key in cases:
         with pytest.raises(SimConfigError) as err:
-            cfg.validate()
+            build()
         assert err.value.key == key
         assert key in str(err.value)
 
@@ -95,6 +99,52 @@ def test_config_dict_round_trip():
     assert SimConfig.from_dict({"rewards": None}).rewards is None
 
 
+# any valid config: small and large seeds (JSON readers hold integers exactly
+# only up to 2**53), and small thresholds, which are written in hex all the same
+VALID_CONFIGS = st.builds(
+    SimConfig,
+    n_nodes=st.integers(5, 64),
+    adversary_fraction=st.floats(0.0, 1.0),
+    delivery_ratio=st.floats(0.0, 1.0, exclude_min=True),
+    latency=st.builds(LatencySpec, st.integers(0, 5), st.integers(5, 40)),
+    chain=st.builds(
+        ChainConfig,
+        tx_count_min=st.integers(1, 8),
+        witness_m=st.integers(1, 4),
+        confirm_depth=st.integers(1, 8),
+        witness_threshold=st.one_of(st.integers(1, 2**16), st.integers(1, MAX_HASH)),
+    ),
+    tx_rate=st.floats(0.0, 20.0),
+    duration=st.integers(1, 10**5),
+    seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**256)),
+    adversary_strategy=st.sampled_from(Strategy),
+    tx_model=st.sampled_from(TxModel),
+    scheme=st.sampled_from(["stub", "ed25519"]),
+    rewards=st.one_of(
+        st.none(), st.builds(RewardSchedule, st.integers(0, 2**60), st.integers(0, 2**60))
+    ),
+    fork_win_extra=st.integers(0, 4),
+    replay_check=st.booleans(),
+    trace=st.booleans(),
+)
+
+
+@given(VALID_CONFIGS)
+def test_every_valid_config_survives_a_json_round_trip(cfg):
+    assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_a_partial_section_keeps_the_default_configs_values():
+    default = SimConfig()
+    assert SimConfig.from_dict({"latency": {}}).latency == default.latency == LatencySpec(1, 3)
+    assert SimConfig.from_dict({"latency": {"lo": 2}}).latency == LatencySpec(2, 3)
+    assert SimConfig.from_dict({"chain": {}}).chain == default.chain
+    three = SimConfig.from_dict({"chain": {"witness_m": 3}}).chain
+    assert three == replace(default.chain, witness_m=3)
+    # with no default section, the class's own defaults fill it
+    assert SimConfig.from_dict({"rewards": {}}).rewards == RewardSchedule()
+
+
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(SimConfigError) as err:
         SimConfig.from_dict({"bogus_key": 1})
@@ -105,8 +155,10 @@ def test_from_dict_fills_sim_threshold_when_missing():
     cfg = SimConfig.from_dict({"chain": {"witness_m": 3}})
     assert cfg.chain.witness_threshold == SIM_WITNESS_THRESHOLD
     assert cfg.chain.witness_m == 3
-    explicit = SimConfig.from_dict({"chain": {"witness_threshold": "ff"}})
-    assert explicit.chain.witness_threshold == 255
+    # a 256-bit field reads hex or an integer
+    for threshold in ("ff", 255):
+        explicit = SimConfig.from_dict({"chain": {"witness_threshold": threshold}})
+        assert explicit.chain.witness_threshold == 255
 
 
 def test_from_dict_parse_errors_name_their_section():
@@ -129,6 +181,8 @@ def test_from_dict_parse_errors_name_their_section():
         ({"chain": ["tx_count_min", 4]}, "chain"),
         ({"n_nodes": "20"}, "n_nodes"),
         ({"n_nodes": 20.0}, "n_nodes"),
+        # only a field declared for 256-bit values is read from hex
+        ({"seed": "ff"}, "seed"),
         ({"replay_check": 1}, "replay_check"),
         ({"delivery_ratio": "0.9"}, "delivery_ratio"),
     ]
@@ -151,7 +205,7 @@ def test_cli_rejects_malformed_config_with_exit_2(tmp_path, capsys):
 def test_tx_rate_must_be_finite():
     for rate in (math.inf, math.nan):
         with pytest.raises(SimConfigError) as err:
-            SimConfig(tx_rate=rate).validate()
+            SimConfig(tx_rate=rate)
         assert err.value.key == "tx_rate"
     # JSON's Infinity and NaN decode as floats, so from_dict must refuse them too
     for text in ('{"tx_rate": Infinity}', '{"tx_rate": NaN}'):
@@ -178,14 +232,13 @@ def test_queued_events_counts_what_run_queues_first(monkeypatch):
 def test_a_run_that_queues_past_the_event_budget_is_refused():
     at_budget = SimConfig(duration=3 * (simnet.EVENT_BUDGET // 7), tx_rate=2.0)
     assert simnet.queued_events(at_budget) <= simnet.EVENT_BUDGET
-    at_budget.validate()
-    over = replace(at_budget, duration=at_budget.duration + 3)
-    assert simnet.queued_events(over) > simnet.EVENT_BUDGET
+    over = {**at_budget.to_dict(), "duration": at_budget.duration + 3}
+    assert simnet.queued_events(SimpleNamespace(**over)) > simnet.EVENT_BUDGET
     with pytest.raises(SimConfigError) as err:
-        over.validate()
+        replace(at_budget, duration=over["duration"])
     assert err.value.key == "duration"
     with pytest.raises(SimConfigError) as err:
-        SimConfig.from_dict(over.to_dict())
+        SimConfig.from_dict(over)
     assert err.value.key == "duration"
 
 
@@ -548,6 +601,63 @@ def test_dropped_entries_cost_work_never_an_answer(name, monkeypatch):
     monkeypatch.setattr(ChainState, "_rebuild_snapshot", counted)
     assert run_and_replay(cfg) == unbounded
     assert rebuilt
+
+
+def test_seeded_runs_never_rebuild_a_snapshot(monkeypatch):
+    """Every snapshot a run reads is still in the store or a checkpoint.
+
+    _rebuild_snapshot replays blocks for an entry the horizon dropped with
+    no checkpoint to fall back on; none of these seeded runs takes it.
+    """
+    rebuilt = []
+    rebuild = ChainState._rebuild_snapshot
+
+    def counted(state, block_hash):
+        rebuilt.append(block_hash)
+        return rebuild(state, block_hash)
+
+    monkeypatch.setattr(ChainState, "_rebuild_snapshot", counted)
+    base = SimConfig(seed=3)
+    configs = [
+        replace(base, duration=1000),
+        replace(base, duration=6000),
+        replace(base, delivery_ratio=0.5, duration=2000),
+        replace(base, n_nodes=100, duration=200),
+    ]
+    adversaries = dict(adversary_fraction=0.25)
+    for seed in (1, 2):
+        shape = replace(base, seed=seed, duration=3000)
+        configs += [
+            replace(shape, delivery_ratio=0.3),
+            replace(shape, delivery_ratio=0.5, latency=LatencySpec(0, 12)),
+            replace(shape, **adversaries, adversary_strategy=Strategy.EQUIVOCATE),
+            replace(
+                shape,
+                **adversaries,
+                adversary_strategy=Strategy.DOUBLE_SPEND,
+                tx_model=TxModel.UTXO,
+            ),
+            replace(
+                shape,
+                **adversaries,
+                adversary_strategy=Strategy.INVALID_BLOCK_PUSH,
+                delivery_ratio=0.5,
+            ),
+        ]
+        configs.append(
+            replace(
+                base,
+                seed=seed,
+                n_nodes=50,
+                delivery_ratio=0.4,
+                latency=LatencySpec(1, 20),
+                duration=2000,
+            )
+        )
+    assert len(configs) == 16
+    for cfg in configs:
+        run_simulation(cfg)
+    assert rebuilt == []
 
 
 def test_propose_slot_drops_a_forged_payment():
