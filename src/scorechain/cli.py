@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .analysis import (
     HEADLINE_PARAMS,
@@ -118,16 +118,7 @@ def cmd_miss_model(args: argparse.Namespace) -> int:
         f"empirical={result.frequency:.9g} ({result.misled}/{result.trials})"
     )
     if out_dir:
-        payload = {
-            "m": args.m,
-            "n_c": args.nc,
-            "l": args.l,
-            "r": args.r,
-            "trials": result.trials,
-            "exponent": result.exponent,
-            "analytic": analytic,
-            "empirical": result.frequency,
-        }
+        payload = {**asdict(params), **asdict(result), "analytic": analytic}
         _write(out_dir, "miss_model.json", json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -143,16 +134,7 @@ def cmd_corruption(args: argparse.Namespace) -> int:
         f"adversarial-slot rate={result.adversarial_slot_rate:.4f}"
     )
     if out_dir:
-        payload = {
-            "q": result.q,
-            "m": result.m,
-            "n_keys": result.n_keys,
-            "attempts": result.attempts,
-            "analytic": result.analytic,
-            "witnessed_rate": result.witnessed_rate,
-            "adversarial_slot_rate": result.adversarial_slot_rate,
-        }
-        _write(out_dir, "corruption.json", json.dumps(payload, indent=2, sort_keys=True))
+        _write(out_dir, "corruption.json", json.dumps(asdict(result), indent=2, sort_keys=True))
     return EXIT_OK
 
 

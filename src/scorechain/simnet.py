@@ -143,7 +143,6 @@ class SimConfig:
     rewards: RewardSchedule | None = None
     fork_win_extra: int = 0  # the l of the safety analysis
     replay_check: bool = False
-    trace: bool = False
 
     def __post_init__(self) -> None:
         # a proposer cannot witness its own block
@@ -284,15 +283,6 @@ class PullReply:
     blocks: tuple[Block, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    """One delivered message, recorded in processing order."""
-
-    at: int
-    kind: str
-    detail: str = ""
-
-
 # event kinds
 EV_DELIVER = 0
 EV_INJECT = 1
@@ -329,7 +319,6 @@ class SimReport:
     min_confirmed_height: int = 0
     per_node_head: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -519,7 +508,6 @@ class HonestNode:
         for head in self.state.pop_fork_events():
             gossip = ForkWinGossip(head)
             for _ in range(1 + self.sim.cfg.fork_win_extra):
-                self.sim.report.fork_win_msgs += 1
                 self.sim.broadcast(self.index, gossip)
 
     def on_fork_win(self, gossip: ForkWinGossip, from_idx: int) -> None:
@@ -910,10 +898,6 @@ class Simulator:
             node.on_pull_req(message, sender)
         elif cls is PullReply:
             node.on_pull_reply(message)
-        if self.cfg.trace:
-            self.report.trace.append(
-                SimEvent(self._now, type(message).__name__, f"{sender}->{target}")
-            )
 
     # -- end-of-run accounting ------------------------------------------------------
 
@@ -924,6 +908,8 @@ class Simulator:
             report.per_node_head[str(node.index)] = f"{node.state.head.block_hash:064x}"
             report.switches += node.state.stats.switches
             report.orphans_expired += node.state.stats.orphans_expired
+        # every switch is announced in the apply that records it
+        report.fork_win_msgs = report.switches * (1 + self.cfg.fork_win_extra)
         if not honest:
             return
         finals = [node.final_confirmed() for node in honest]

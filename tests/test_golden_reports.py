@@ -8,18 +8,25 @@ both (the account-model coinbase spends consecutive system nonces, the UTXO
 one a height marker), a long run with many branch switches, a lossy
 one-witness, depth-one chain whose honest nodes are misled
 (``misled_events`` > 0), Ed25519 signatures and a higher transaction rate.
-Between them they set every ``SimConfig`` field but ``seed`` and ``trace``
-away from its default. Two more record every delivery in processing order
-(``trace``), so they pin the event order within a tick: one with zero-delay
-deliveries, which join the tick being run, and one lossy with a fixed
-latency, where every delivery of a tick was scheduled in the same earlier
-tick. A pin that moves means
-the simulated behaviour changed; that is either a bug to fix or a deliberate
-change (such as a new RNG draw order) to record in CHANGES.md with the pins
-recomputed.
+Between them they set every ``SimConfig`` field but ``seed`` away from its
+default.
+
+Two more pin the event order within a tick. A recorder wraps the
+simulator's ``_deliver`` and notes ``(tick, message type, sender, target)``
+for every delivery in processing order, and for these two configs the pin
+hashes that list after the report: one with zero-delay deliveries, which
+join the tick being run, and one lossy with a fixed latency, where every
+delivery of a tick was scheduled in the same earlier tick.
+
+A pin that moves means the simulated behaviour changed; that is either a
+bug to fix or a deliberate change (such as a new RNG draw order) to record
+in CHANGES.md with the pins recomputed. ``python tests/test_golden_reports.py``
+prints every pin as computed now, with its report's counters, so a re-pin
+can state what moved.
 """
 
 import hashlib
+import json
 from dataclasses import fields, replace
 
 import pytest
@@ -27,11 +34,13 @@ import pytest
 from scorechain.core_types import ChainConfig, TxModel
 from scorechain.incentive import RewardSchedule
 from scorechain.simnet import (
+    COUNTER_FIELDS,
     LatencySpec,
     SIM_WITNESS_THRESHOLD,
     SimConfig,
+    SimReport,
+    Simulator,
     Strategy,
-    run_simulation,
 )
 
 BASE = SimConfig(replay_check=True)
@@ -69,49 +78,71 @@ CONFIGS = {
     ),
     "ed25519": replace(BASE, scheme="ed25519", n_nodes=10, duration=100),
     "tx_rate": replace(BASE, tx_rate=3.0),
-    "trace_zero_delay": replace(BASE, trace=True, latency=LatencySpec(0, 2)),
-    "trace_fixed_latency_lossy": replace(
-        BASE, trace=True, latency=LatencySpec(3, 3), delivery_ratio=0.6
-    ),
+    "trace_zero_delay": replace(BASE, latency=LatencySpec(0, 2)),
+    "trace_fixed_latency_lossy": replace(BASE, latency=LatencySpec(3, 3), delivery_ratio=0.6),
 }
+# configs whose pin covers the recorded deliveries as well as the report
+DELIVERY_ORDER = ("trace_zero_delay", "trace_fixed_latency_lossy")
 
 PINS = {
-    ("default", 1): "29abb303a1c9f6953576a23c93f14173b47da3ca742b444bd5bac21e9e5b6d43",
-    ("default", 2): "65f85fa4ff20c1f6bb388be006adf63a9c44bfad13a455fdbc7e546cf3082412",
-    ("lossy", 1): "ef616b797165916a3fc250bd2527205ba14d19c627749098db13b05b61b045ba",
-    ("lossy", 2): "ae6ddf5cea79f89f3f0a325c8ad79ca4fcab0300256753d2e63d090734b595e4",
-    ("fork_win_extra", 1): "e82071da30cefeda1344a3c035a1e5f73cb6ba0c10d616550752802d695e87f0",
-    ("fork_win_extra", 2): "1891f67918dce1a80444f963e5c3e3a595d2522db262742216eaf40f82795e07",
-    ("double_spend_account", 1): "321602e40d91214e3acebb37fa0d779b86f42b1a62e0b42ec45d7dac66e46e12",
-    ("double_spend_account", 2): "7dbf710df31f5452536121dd4d8d3d009cbe91b9c900598d7c33a861ebcd3313",
-    ("double_spend_utxo_rewards", 1): "1a152cfda9bc3ce704eb3e761494f16e6f6ed96be56ab56f7088c7ec0ed53b26",
-    ("double_spend_utxo_rewards", 2): "a0070cb80fc8c4ba6c70871520d6b39fb16570ea737ee6b9e0245e45cb151d7e",
-    ("equivocate", 1): "8ed34c3fe20bd184dcb84914cbc0a7b490ed29371b7d47429fc1cab9fe46f83b",
-    ("equivocate", 2): "4ef1b2a8da08329b80b52599c2593d0010e89b1a4ec0b2e35a9f19870a312c12",
-    ("invalid_push", 1): "f61d564006f0c4cf1e9fb4c19e867452eec04cdeed91d919b8de601b11b97900",
-    ("invalid_push", 2): "90ff2c1799a12d4fcf838365c1fdf7b5e72239a4c2aaaec9add5649c0380de27",
-    ("long", 1): "74d1a0f41bebcc74e548ae579053eba978e7b7bf5c4edc92d869b182963cc731",
-    ("long", 2): "75cd3efa620da6e532caff41149fe1bcef9c8c94fea440669304cbedfa95f88b",
-    ("account_rewards", 1): "51024d78cd9929d9e189d647c7e5f7225428c227ec34278046d78eb1bceef4cf",
-    ("account_rewards", 2): "9c304f6d31a41f5002b06e32d4bdb263858c3a8c1046b146ea6ca33b5555069f",
-    ("misled", 1): "c59c42b42d842159fd3e3d3e64d7d23c60828bd09eb08c1d35c33dfe2ffeb941",
-    ("misled", 2): "a4cccc4d179f37e309fb3144be3655fbd899ef8c68578130d804a73e36056370",
-    ("ed25519", 1): "91269f9d4021f450920893696473f8e9263536f3151f82c255c783c2f086e95c",
-    ("ed25519", 2): "16a4b6d4597553d6db021e83270dbee5f44cc69a8c7b74b9eeee00bef49f6442",
-    ("tx_rate", 1): "e289f92dfb8fc8c974ee25d1a8f6b517218655c47bf235fdbea4f5fb885f66f2",
-    ("tx_rate", 2): "827e14f2899d265aa0b657d66adc32259c18eea85e639a56bc3139c5cff38899",
-    ("trace_zero_delay", 1): "edd476e7b24fab13ca3428ef2e132d22ec426251a68f75b91be54588a6b8b1ec",
-    ("trace_zero_delay", 2): "50fb4ff73065af19809de54c6d8a574b4ed23ee3d6b6e1d4130e6576bea3f2b2",
-    ("trace_fixed_latency_lossy", 1): "50b48a7dddd25b30dcb7e67a87c3c7566686fe7ada165e75b8a49934f8539e58",
-    ("trace_fixed_latency_lossy", 2): "f13569d93e5e2bff9884d9fbdf21dc5559626d81139058a7aab07849c95361b7",
+    ("default", 1): "112f0ac944db2daace7dab193062dd78d45ed9cb3fe3309098ff22448456c9fd",
+    ("default", 2): "5f935fcf875f3be191befedd9a97237969c5aec3918d29f6d749fd7169bf32e3",
+    ("lossy", 1): "a84513cad2abc274d5cbe07de6f842103a149428e94e6d396f63ff2054fe2e9e",
+    ("lossy", 2): "a067bb4a2e4458605d2a5249a5fbda835534b8db5a8fba7445dfeec2080ff792",
+    ("fork_win_extra", 1): "1cc85ac0de9a9982066ae0771a39b2793b337b6f04ffde6022a7e0eb782745fa",
+    ("fork_win_extra", 2): "15ee94de0058a7e303520a78ee1b5b41b4e0c84c3abdd68e7f24ec1f7d90f1bb",
+    ("double_spend_account", 1): "aa19cad5ef82659a4f152505441a5a314b3a8027b52549a7aa04ff612e99089f",
+    ("double_spend_account", 2): "462db230f226a0c2c654ef73668d71845825e14aad62d17f47d36c67791d5379",
+    ("double_spend_utxo_rewards", 1): "4cb575338ea8f94d7b37547d569254bbe9a3710b46aefa24e56b9610d0bf0084",
+    ("double_spend_utxo_rewards", 2): "958673a51300cd0607364af38c5eba17efdb04f61e1a53d17432733ed1a420d6",
+    ("equivocate", 1): "97f8007d99befb2b5293adebbac9f282593d63ea90b033c3d0f116872711592a",
+    ("equivocate", 2): "c9881045f3004c90889142b26da7c47474001eac71e02afe44bdd717c6a93a2a",
+    ("invalid_push", 1): "63ecbee370be132037fd065fec29afd36f81a1b782c73235fb86f707dde32ebb",
+    ("invalid_push", 2): "ba235e4a0b083c2e5d2f49a040b8263bb029335afaa35a9731c52badcdaf479e",
+    ("long", 1): "0d00be57adb090a1f913de5a5158e4116172aaa8d75306ebaa6651d4904a9eac",
+    ("long", 2): "39ee39ed6844b16bb5d43dde9975c8524630e2ecb08cb3758cd457cddba049d3",
+    ("account_rewards", 1): "ae27796975808c52deb98f2f5fd3a6e22cd34e77e995a93cee6d5c0100cde482",
+    ("account_rewards", 2): "f5acb8ea089000b54f474b4ccb073555fe10103516e9b0e408e040efe81b0236",
+    ("misled", 1): "d4ecaec32fa7be35b78156b832a956bf4f150a31757a17c72ac0b77c8a28feeb",
+    ("misled", 2): "99a14070df9801430368ca131e8ace5ad4727d6f66dacd798f192b4b9e578af1",
+    ("ed25519", 1): "8d0adc8dba10348591c785f70938312f0b04f0d561580c07bf7cba84f5fbadc6",
+    ("ed25519", 2): "331f42fac5b8abc3bc623153c2c9614d38bd91a53666e2479f9fada4bad863c7",
+    ("tx_rate", 1): "1cd9e5ab2219d446689c801f77d814e90a1d9d63c562a8271575f08c654131eb",
+    ("tx_rate", 2): "abf23659ac0bf803d84bc2433dfffdb6c2b382aa03e7145e97ba79c3dea6abad",
+    ("trace_zero_delay", 1): "424080e78589ccc079fca24bc28432c7465b2ce40ce23122b9d75c792df574e4",
+    ("trace_zero_delay", 2): "a0a4cdfaf60b5daf09ee8c74352f0656418d134f131512c463de7f30de2412c2",
+    ("trace_fixed_latency_lossy", 1): "66880a3ef6588fb2547cc252eddca6720547ffc1c6313af29997d279d33168b6",
+    ("trace_fixed_latency_lossy", 2): "34544d566c356b04092752e605a363611057fa4efdf00b6aa56952f2546edfea",
 }
+
+
+def run_recorded(cfg: SimConfig) -> tuple[SimReport, list[tuple[int, str, int, int]]]:
+    """One run's report and its deliveries, in processing order, as
+    (tick, message type, sender, target)."""
+    sim = Simulator(cfg)
+    deliveries = []
+    deliver = sim._deliver
+
+    def recorded(target, sender, message):
+        deliver(target, sender, message)
+        deliveries.append((sim._now, type(message).__name__, sender, target))
+
+    sim._deliver = recorded
+    return sim.run(), deliveries
+
+
+def fingerprint(name: str, seed: int) -> tuple[str, SimReport]:
+    """A golden run's pin, and its report."""
+    report, deliveries = run_recorded(replace(CONFIGS[name], seed=seed))
+    digest = hashlib.sha256(report.to_json().encode())
+    if name in DELIVERY_ORDER:
+        digest.update(json.dumps(deliveries).encode())
+    return digest.hexdigest(), report
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINS))
 def test_report_matches_golden_pin(name, seed):
-    report = run_simulation(replace(CONFIGS[name], seed=seed))
-    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == PINS[name, seed]
+    assert fingerprint(name, seed)[0] == PINS[name, seed]
 
 
 def test_every_sim_setting_is_pinned():
@@ -119,7 +150,16 @@ def test_every_sim_setting_is_pinned():
     unpinned = [
         f.name
         for f in fields(SimConfig)
-        if f.name not in ("seed", "trace")
+        if f.name != "seed"
         and all(getattr(cfg, f.name) == getattr(default, f.name) for cfg in CONFIGS.values())
     ]
     assert unpinned == [], "no golden config sets these away from their default"
+
+
+if __name__ == "__main__":
+    # every pin as computed now, ready to paste into PINS, and its counters
+    for name, seed in PINS:
+        pin, report = fingerprint(name, seed)
+        verdict = "kept" if pin == PINS[name, seed] else "MOVED"
+        counters = " ".join(f"{f}={getattr(report, f)}" for f in COUNTER_FIELDS)
+        print(f'    ("{name}", {seed}): "{pin}",  # {verdict}: {counters}')

@@ -39,6 +39,7 @@ from scorechain.simnet import (
     witness_corruption_trials,
     write_trials_csv,
 )
+from test_golden_reports import run_recorded
 
 SMALL = SimConfig(n_nodes=10, duration=80, tx_rate=1.0, seed=5)
 
@@ -125,7 +126,6 @@ VALID_CONFIGS = st.builds(
     ),
     fork_win_extra=st.integers(0, 4),
     replay_check=st.booleans(),
-    trace=st.booleans(),
 )
 
 
@@ -149,6 +149,10 @@ def test_from_dict_rejects_unknown_keys():
     with pytest.raises(SimConfigError) as err:
         SimConfig.from_dict({"bogus_key": 1})
     assert err.value.key == "bogus_key"
+    # configs written before the delivery trace was deleted still carry it
+    with pytest.raises(SimConfigError, match="unknown config key") as err:
+        SimConfig.from_dict({"trace": False})
+    assert err.value.key == "trace"
 
 
 def test_from_dict_fills_sim_threshold_when_missing():
@@ -303,14 +307,6 @@ def test_report_echoes_config_and_serializes():
     payload = json.loads(report.to_json())
     assert payload["seed"] == SMALL.seed
     assert payload["blocks_minted"] == report.blocks_minted
-    assert "trace" in payload and payload["trace"] == []
-
-
-def test_trace_records_deliveries():
-    report = run_simulation(replace(SMALL, n_nodes=6, duration=30, trace=True))
-    assert report.trace
-    kinds = {ev.kind for ev in report.trace}
-    assert "TxGossip" in kinds
 
 
 def test_every_delivery_went_through_send(monkeypatch):
@@ -332,10 +328,10 @@ def test_every_delivery_went_through_send(monkeypatch):
         latency=LatencySpec(0, 6),
         adversary_fraction=0.25,
         adversary_strategy=Strategy.EQUIVOCATE,
-        trace=True,
         seed=3,
     )
-    delivered = Counter(event.kind for event in run_simulation(cfg).trace)
+    _, deliveries = run_recorded(cfg)
+    delivered = Counter(kind for _, kind, _, _ in deliveries)
     assert len(delivered) == 7  # every message type, pulls and fork wins too
     assert sent == delivered
 
@@ -891,12 +887,23 @@ def test_miss_model_command_writes_its_result(tmp_path, capsys):
     assert cli_main(["miss-model", "--trials", "20000", "--out", str(tmp_path)]) == 0
     assert "K=16" in capsys.readouterr().out
     payload = json.loads((tmp_path / "miss_model.json").read_text())
-    assert sorted(payload) == ["analytic", "empirical", "exponent", "l", "m", "n_c", "r", "trials"]
+    assert sorted(payload) == [
+        "analytic",
+        "exponent",
+        "frequency",
+        "l",
+        "m",
+        "misled",
+        "n_c",
+        "r",
+        "trials",
+    ]
     assert payload["exponent"] == 16
     assert payload["trials"] == 20_000
+    assert payload["frequency"] == payload["misled"] / 20_000
     p = payload["analytic"]
     assert p == pytest.approx(0.8**16)
-    assert abs(payload["empirical"] - p) <= 4 * math.sqrt(p * (1 - p) / 20_000)
+    assert abs(payload["frequency"] - p) <= 4 * math.sqrt(p * (1 - p) / 20_000)
 
 
 def test_three_sigma_check_at_a_certain_outcome_needs_exact_agreement():
@@ -949,12 +956,14 @@ def test_corruption_command_writes_its_result(tmp_path, capsys):
         "m",
         "n_keys",
         "q",
+        "witnessed",
         "witnessed_rate",
     ]
     assert (payload["q"], payload["m"], payload["n_keys"]) == (0.5, 2, 60)
     assert payload["attempts"] == 400
     assert payload["analytic"] == 0.25
     # the seeded trial pinned by test_corruption_trials_repeat_per_seed
+    assert payload["witnessed"] == 92
     assert payload["witnessed_rate"] == 92 / 400
     assert payload["adversarial_slot_rate"] == 0.50375
 
