@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,32 +187,21 @@ def misled_grid(
     return rows
 
 
-def write_misled_csv(rows: list[GridRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "m", "log10_pr"])
-        for row in rows:
-            writer.writerow([row.r, row.m, f"{row.log10_pr:.6f}"])
+def write_csv(rows: "Sequence[object]", path: str) -> None:
+    """Write a table of records as CSV, one line per row.
 
-
-def write_chain_scale_csv(rows: list[ChainScaleRow], path: str) -> None:
-    verdicts = chain_scale_bounds_ok(rows)
+    The columns are a dataclass row's fields in declaration order, or a
+    mapping row's keys, and each value is written the way Python prints it.
+    An empty table has no columns to name, so it raises ValueError and
+    writes no file.
+    """
+    if not rows:
+        raise ValueError("no rows to write")
+    records = [row if isinstance(row, Mapping) else asdict(row) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["name", "height", "years", "chain_log10_p", "expected_years_log10", "bound_ok"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.name,
-                    row.height,
-                    row.years,
-                    f"{row.chain_log10_p:.6f}",
-                    f"{row.expected_years_log10:.6f}",
-                    verdicts.get(row.name, ""),
-                ]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+        writer.writeheader()
+        writer.writerows(records)
 
 
 # ---------------------------------------------------------------------------

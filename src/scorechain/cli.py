@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 from .analysis import (
     HEADLINE_PARAMS,
@@ -24,8 +24,7 @@ from .analysis import (
     log10_pr_misled,
     misled_grid,
     pr_misled,
-    write_chain_scale_csv,
-    write_misled_csv,
+    write_csv,
 )
 from .simnet import (
     SimConfig,
@@ -34,7 +33,6 @@ from .simnet import (
     run_simulation,
     run_trials,
     witness_corruption_trials,
-    write_trials_csv,
 )
 
 EXIT_OK = 0
@@ -100,7 +98,7 @@ def cmd_trials(args: argparse.Namespace) -> int:
     if out_dir:
         _write(out_dir, "config.json", json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         _write(out_dir, "trials.json", result.to_json())
-        write_trials_csv(result, os.path.join(out_dir, "trials.csv"))
+        write_csv(result.rows, os.path.join(out_dir, "trials.csv"))
         print(f"wrote {out_dir}/trials.json and trials.csv")
     print(result.summary_line())
     lo, hi = result.hard_fork_ci
@@ -142,7 +140,7 @@ def cmd_misled_sweep(args: argparse.Namespace) -> int:
     rows = misled_grid(n_c=args.nc)
     out_dir = _ensure_out(args.out) or "."
     path = os.path.join(out_dir, "misled_sweep.csv")
-    write_misled_csv(rows, path)
+    write_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -151,11 +149,13 @@ def cmd_chain_scale(args: argparse.Namespace) -> int:
     rows = chain_scale_rows()
     out_dir = _ensure_out(args.out) or "."
     path = os.path.join(out_dir, "chain_scale.csv")
-    write_chain_scale_csv(rows, path)
+    write_csv(rows, path)
+    verdicts = chain_scale_bounds_ok(rows)
     for row in rows:
         print(
             f"{row.name}: chain log10 p = {row.chain_log10_p:.2f}, "
-            f"expected-years log10 = {row.expected_years_log10:.2f}"
+            f"expected-years log10 = {row.expected_years_log10:.2f}, "
+            f"within bound = {verdicts.get(row.name)}"
         )
     print(f"wrote {path}")
     return EXIT_OK
@@ -176,36 +176,29 @@ def _three_sigma_ok(analytic: float, hits: int, trials: int) -> tuple[bool, floa
     return abs(z) <= 3.0, z
 
 
+@dataclass(frozen=True, slots=True)
+class Check:
+    """One `reproduce` check as written to checklist.json.
+
+    value is what the check measured and expected what it was held to, when
+    there is one; z is the Monte Carlo checks' z-score against the closed form.
+    """
+
+    name: str
+    ok: bool
+    value: object = None
+    expected: object = None
+    z: "float | None" = None
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out) or "."
-    checks: list[dict] = []
-
-    # closed-form headline number
     headline = log10_pr_misled(HEADLINE_PARAMS)
-    checks.append(
-        {
-            "name": "headline_log10",
-            "value": headline,
-            "expected": -54.0,
-            "ok": abs(headline - (-54.0)) < 1e-9,
-        }
-    )
-
-    # chain-scale table
     rows = chain_scale_rows()
-    write_chain_scale_csv(rows, os.path.join(out_dir, "chain_scale.csv"))
+    write_csv(rows, os.path.join(out_dir, "chain_scale.csv"))
     verdicts = chain_scale_bounds_ok(rows)
-    checks.append(
-        {
-            "name": "chain_scale_bounds",
-            "value": {r.name: round(r.chain_log10_p, 2) for r in rows},
-            "ok": bool(verdicts) and all(verdicts.values()),
-        }
-    )
-
-    # misled sweep monotonicity
     grid = misled_grid(n_c=3)
-    write_misled_csv(grid, os.path.join(out_dir, "misled_sweep.csv"))
+    write_csv(grid, os.path.join(out_dir, "misled_sweep.csv"))
     by_r: dict[float, list[float]] = {}
     for row in grid:
         by_r.setdefault(row.r, []).append(row.log10_pr)
@@ -219,40 +212,23 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         all(b < a for a, b in zip(by_r[r1], by_r[r2]))
         for r1, r2 in zip(r_sorted, r_sorted[1:])
     )
-    checks.append({"name": "sweep_monotone", "ok": mono_m and mono_r})
-
-    # witness corruption Monte Carlo vs closed form
     corr = witness_corruption_trials(args.corruption_attempts, 0.5, 3, seed=args.seed)
-    ok, z = _three_sigma_ok(corr.analytic, corr.witnessed, corr.attempts)
-    checks.append(
-        {
-            "name": "corruption_mc",
-            "analytic": corr.analytic,
-            "empirical": corr.witnessed_rate,
-            "z": z,
-            "ok": ok,
-        }
-    )
-
-    # miss model Monte Carlo vs closed form
+    corr_ok, corr_z = _three_sigma_ok(corr.analytic, corr.witnessed, corr.attempts)
     params = SafetyParams(m=1, n_c=1, l=0, r=0.2)
     miss = run_miss_model(params, args.miss_trials, seed=args.seed)
-    analytic = pr_misled(params)
-    ok, z = _three_sigma_ok(analytic, miss.misled, miss.trials)
-    checks.append(
-        {
-            "name": "miss_model_mc",
-            "analytic": analytic,
-            "empirical": miss.frequency,
-            "z": z,
-            "ok": ok,
-        }
-    )
-
-    _write(out_dir, "checklist.json", json.dumps(checks, indent=2, sort_keys=True))
-    failed = [c["name"] for c in checks if not c["ok"]]
+    miss_ok, miss_z = _three_sigma_ok(pr_misled(params), miss.misled, miss.trials)
+    checks = [
+        Check("headline_log10", abs(headline - (-54.0)) < 1e-9, headline, -54.0),
+        Check("chain_scale_bounds", bool(verdicts) and all(verdicts.values()), verdicts),
+        Check("sweep_monotone", mono_m and mono_r),
+        Check("corruption_mc", corr_ok, corr.witnessed_rate, corr.analytic, corr_z),
+        Check("miss_model_mc", miss_ok, miss.frequency, pr_misled(params), miss_z),
+    ]
+    payload = [asdict(check) for check in checks]
+    _write(out_dir, "checklist.json", json.dumps(payload, indent=2, sort_keys=True))
     for check in checks:
-        print(f"[{'PASS' if check['ok'] else 'FAIL'}] {check['name']}")
+        print(f"[{'PASS' if check.ok else 'FAIL'}] {check.name}")
+    failed = [check.name for check in checks if not check.ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED

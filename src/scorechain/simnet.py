@@ -19,7 +19,6 @@ refusal, and signing path) and the abstract miss-model for the misled bound.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -976,7 +975,6 @@ class TrialsResult:
     maxs: dict
     hard_fork_runs: int
     hard_fork_ci: tuple[float, float]
-    misled_nodes: int
     honest_node_runs: int
     misled_ci: "tuple[float, float] | None"  # None when no node was honest
     rows: list
@@ -1041,19 +1039,10 @@ def run_trials(cfg: SimConfig, trials: int, jobs: int = 1) -> TrialsResult:
         maxs=maxs,
         hard_fork_runs=fork_runs,
         hard_fork_ci=wilson_interval(fork_runs, trials),
-        misled_nodes=totals["misled_events"],
         honest_node_runs=honest_total,
         misled_ci=wilson_interval(totals["misled_events"], honest_total) if honest_total else None,
         rows=rows,
     )
-
-
-def write_trials_csv(result: TrialsResult, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", *COUNTER_FIELDS])
-        for row in result.rows:
-            writer.writerow([row["seed"], *(row[name] for name in COUNTER_FIELDS)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Closed-form safety math against hand-derived oracle values."""
 
+import csv
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -18,8 +20,7 @@ from scorechain.analysis import (
     pr_invalid_witnessed,
     pr_misled,
     wilson_interval,
-    write_chain_scale_csv,
-    write_misled_csv,
+    write_csv,
 )
 
 
@@ -151,22 +152,42 @@ def test_grid_rejects_empty_m_values():
 # -- csv files ------------------------------------------------------------------------------
 
 
+def _read_back(rows, path):
+    """Write rows with write_csv; return the header and the rows as read by csv."""
+    write_csv(rows, path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
 def test_misled_csv_layout(tmp_path):
-    path = str(tmp_path / "sweep.csv")
-    write_misled_csv(misled_grid(), path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "r,m,log10_pr"
-    assert lines[1] == "0.6,1,-19.101120"
-    assert len(lines) == 25
+    grid = misled_grid()
+    header, read = _read_back(grid, str(tmp_path / "sweep.csv"))
+    assert header == [f.name for f in fields(grid[0])] == ["r", "m", "log10_pr"]
+    assert len(read) == 24
+    # values are written unrounded, as Python prints them
+    assert read[0] == {"r": "0.6", "m": "1", "log10_pr": str(grid[0].log10_pr)}
+    assert [(float(row["r"]), int(row["m"]), float(row["log10_pr"])) for row in read] == [
+        (row.r, row.m, row.log10_pr) for row in grid
+    ]
 
 
 def test_chain_scale_csv_layout(tmp_path):
-    path = str(tmp_path / "scale.csv")
-    write_chain_scale_csv(chain_scale_rows(), path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "name,height,years,chain_log10_p,expected_years_log10,bound_ok"
-    assert lines[1].startswith("bitcoin,751789,14.0,-48.123904,49.270032,")
-    assert all(line.endswith("True") for line in lines[1:])
+    rows = chain_scale_rows()
+    header, read = _read_back(rows, str(tmp_path / "scale.csv"))
+    assert header == [f.name for f in fields(rows[0])]
+    assert len(read) == 3
+    assert read == [{key: str(value) for key, value in asdict(row).items()} for row in rows]
+    assert read[0]["name"] == "bitcoin" and read[0]["height"] == "751789"
+    assert float(read[0]["chain_log10_p"]) == rows[0].chain_log10_p
+
+
+def test_empty_table_raises_and_writes_no_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    assert chain_scale_rows(chains=()) == []
+    with pytest.raises(ValueError, match="no rows"):
+        write_csv(chain_scale_rows(chains=()), str(path))
+    assert not path.exists()
 
 
 # -- statistics helpers -----------------------------------------------------------------------

@@ -1,20 +1,27 @@
 """Event-driven network simulation: config, determinism, attacks, Monte Carlo."""
 
 import copy
+import csv
 import json
 import math
 import random
 import tracemalloc
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from scorechain import ledger, simnet
-from scorechain.analysis import SafetyParams
-from scorechain.cli import _three_sigma_ok, main as cli_main
+from scorechain.analysis import (
+    SafetyParams,
+    chain_scale_bounds_ok,
+    chain_scale_rows,
+    misled_grid,
+    write_csv,
+)
+from scorechain.cli import Check, _three_sigma_ok, main as cli_main
 from scorechain.core_types import (
     ChainConfig,
     Ed25519Scheme,
@@ -37,7 +44,6 @@ from scorechain.simnet import (
     run_simulation,
     run_trials,
     witness_corruption_trials,
-    write_trials_csv,
 )
 from test_golden_reports import run_recorded
 
@@ -747,7 +753,7 @@ def test_trials_without_an_honest_node_report_no_misled_interval():
     cfg = replace(SMALL, n_nodes=6, duration=30, adversary_fraction=1.0)
     result = run_trials(cfg, trials=2)
     assert result.honest_node_runs == 0
-    assert result.misled_nodes == 0
+    assert result.totals["misled_events"] == 0
     assert result.misled_ci is None
     assert json.loads(result.to_json())["misled_ci"] is None
 
@@ -823,11 +829,48 @@ def test_trials_csv_layout(tmp_path):
     cfg = replace(SMALL, n_nodes=8, duration=60)
     result = run_trials(cfg, trials=3)
     path = str(tmp_path / "trials.csv")
-    write_trials_csv(result, path)
-    lines = open(path).read().splitlines()
-    assert lines[0].startswith("seed,misled_events,hard_forks,")
-    assert len(lines) == 4
-    assert lines[1].split(",")[0] == "5"
+    write_csv(result.rows, path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["seed", *simnet.COUNTER_FIELDS]
+        read = list(reader)
+    assert len(read) == 3
+    assert read == [{key: str(value) for key, value in row.items()} for row in result.rows]
+    assert read[0]["seed"] == "5"
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_reproduce_writes_every_table_and_a_checklist_of_checks(tmp_path, capsys):
+    assert cli_main(["reproduce", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("[")] == [
+        f"[PASS] {name}"
+        for name in (
+            "headline_log10",
+            "chain_scale_bounds",
+            "sweep_monotone",
+            "corruption_mc",
+            "miss_model_mc",
+        )
+    ]
+    for name, rows in (
+        ("chain_scale.csv", chain_scale_rows()),
+        ("misled_sweep.csv", misled_grid(n_c=3)),
+    ):
+        read = _read_csv(tmp_path / name)
+        assert read == [{f.name: str(getattr(row, f.name)) for f in fields(row)} for row in rows]
+    checklist = json.loads((tmp_path / "checklist.json").read_text())
+    keys = [f.name for f in fields(Check)]
+    assert keys == ["name", "ok", "value", "expected", "z"]
+    assert all(sorted(entry) == sorted(keys) for entry in checklist)
+    by_name = {entry["name"]: entry for entry in checklist}
+    assert by_name["chain_scale_bounds"]["value"] == chain_scale_bounds_ok()
+    assert by_name["headline_log10"]["expected"] == -54.0
+    assert all(entry["ok"] for entry in checklist)
 
 
 def test_simulate_reruns_from_its_written_config(tmp_path, capsys):
@@ -854,7 +897,6 @@ def test_trials_command_writes_its_result(tmp_path, capsys):
         "means",
         "mins",
         "misled_ci",
-        "misled_nodes",
         "rows",
         "totals",
         "trials",
