@@ -839,11 +839,6 @@ def test_trials_csv_layout(tmp_path):
     assert read[0]["seed"] == "5"
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def test_reproduce_writes_every_table_and_a_checklist_of_checks(tmp_path, capsys):
     assert cli_main(["reproduce", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -861,7 +856,8 @@ def test_reproduce_writes_every_table_and_a_checklist_of_checks(tmp_path, capsys
         ("chain_scale.csv", chain_scale_rows()),
         ("misled_sweep.csv", misled_grid(n_c=3)),
     ):
-        read = _read_csv(tmp_path / name)
+        with open(tmp_path / name, newline="") as fh:
+            read = list(csv.DictReader(fh))
         assert read == [{f.name: str(getattr(row, f.name)) for f in fields(row)} for row in rows]
     checklist = json.loads((tmp_path / "checklist.json").read_text())
     keys = [f.name for f in fields(Check)]
