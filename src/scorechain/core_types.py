@@ -5,9 +5,10 @@ canonical byte layout produced here, so the layout is versioned and bit-exact:
 fixed field order, big-endian fixed-width integers, length-prefixed variable
 parts. See docs/serialization.md for the full record grammar.
 
-All types are immutable after construction and all operations are pure; no
-wall-clock reads, and the only global mutable state is the bounded memo of
-loaded Ed25519 key objects, which changes no answer.
+All types are immutable after construction, except for the write-once caches
+Block.score_cache, Transaction.verified_by and Block.certified_by, and all
+operations are pure; no wall-clock reads, and the only global mutable state
+is the bounded memo of loaded Ed25519 key objects, which changes no answer.
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ class Transaction:
     signing_bytes covers everything except the signature; tx_id hashes the
     full record including the signature, so the id commits to the authoriser.
     Both byte strings and the id are computed once at construction.
+    verified_by is the scheme whose verify accepted the signature, set once
+    by TxIndices.validate_tx; every holder of this object (every node of a
+    simulation) then skips that check under the same scheme.
     """
 
     sender: NodeId
@@ -286,6 +290,7 @@ class Transaction:
     signing_bytes: bytes = field(init=False, repr=False)
     canonical_bytes: bytes = field(init=False, repr=False)
     tx_id: int = field(init=False, repr=False)
+    verified_by: "SignatureScheme | None" = field(init=False, repr=False)
     # the core bytes when the caller already encoded them to sign them
     _core: InitVar["bytes | None"] = None
 
@@ -295,6 +300,7 @@ class Transaction:
         object.__setattr__(self, "signing_bytes", core)
         object.__setattr__(self, "canonical_bytes", full)
         object.__setattr__(self, "tx_id", hash256(full))
+        object.__setattr__(self, "verified_by", None)
 
     def is_coinbase(self) -> bool:
         return self.sender.public_key == SYSTEM_KEY
@@ -392,6 +398,9 @@ class Block:
 
     block_hash covers header + transactions only. Score is computed lazily by
     the scoring module and cached here (same value for every observer).
+    certified_by is the scheme under which witness.mint_block verified every
+    signature of the certificate; a ledger on that scheme does not verify
+    them again.
     """
 
     parent_hash: int
@@ -402,6 +411,7 @@ class Block:
     core_bytes: bytes = field(init=False, repr=False)
     block_hash: int = field(init=False, repr=False)
     score_cache: "int | None" = field(init=False, repr=False)
+    certified_by: "SignatureScheme | None" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.height < 0:
@@ -416,6 +426,7 @@ class Block:
         object.__setattr__(self, "core_bytes", core)
         object.__setattr__(self, "block_hash", hash256(core))
         object.__setattr__(self, "score_cache", None)
+        object.__setattr__(self, "certified_by", None)
 
     def user_transactions(self) -> tuple[Transaction, ...]:
         return tuple(tx for tx in self.transactions if not tx.is_coinbase())
@@ -432,11 +443,13 @@ class Block:
 
 
 def certify(candidate: Block, witness_sigs: Sequence[tuple[NodeId, bytes]]) -> Block:
-    """The candidate plus a certificate, reusing its core bytes, hash and score."""
+    """The candidate plus a certificate, reusing its core bytes, hash and
+    score; the certificate starts unverified."""
     block = object.__new__(Block)
     for name in Block.__slots__:
         object.__setattr__(block, name, getattr(candidate, name))
     object.__setattr__(block, "witness_sigs", tuple(witness_sigs))
+    object.__setattr__(block, "certified_by", None)
     return block
 
 
@@ -467,6 +480,7 @@ def candidate_of(block: Block, cut: int) -> Block:
         ("core_bytes", core),
         ("block_hash", hash256(core)),
         ("score_cache", None),
+        ("certified_by", None),
     ):
         object.__setattr__(candidate, name, value)
     return candidate
@@ -566,10 +580,7 @@ class SignatureScheme(ABC):
 
     Ed25519Scheme keeps the key objects it loads in a bounded memo of the
     pure bytes-to-key function, so it answers as the plain primitive does.
-    The one scheme that keeps per-run state is the simulator's memo wrapper
-    (simnet._VerifiedMemo): a simulated network is one trust domain whose
-    nodes all check the same signed bytes, so it remembers which triples
-    verified. get_scheme returns the shared plain instances.
+    get_scheme returns the shared instances.
     """
 
     name: str

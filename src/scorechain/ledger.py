@@ -314,7 +314,9 @@ class TxIndices:
         refused transaction changes nothing. One pass reads each key through
         the levels once. A system (coinbase) transaction is always
         BAD_COINBASE here: a block's coinbase is checked only by equality
-        with the chain's coinbase rule, and apply_tx applies it.
+        with the chain's coinbase rule, and apply_tx applies it. A signature
+        that verifies is marked on the transaction (verified_by) and is not
+        verified again under the same scheme.
         """
         if tx.is_coinbase():
             return TxReject.BAD_COINBASE
@@ -334,8 +336,10 @@ class TxIndices:
                 held = self._balances_base.get(sender, 0)
             if held < body.amount:
                 return TxReject.INSUFFICIENT_FUNDS
-            if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
-                return TxReject.BAD_SIGNATURE
+            if tx.verified_by is not scheme:
+                if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
+                    return TxReject.BAD_SIGNATURE
+                object.__setattr__(tx, "verified_by", scheme)
             nonces[sender] = expected + 1
             balances[sender] = held - body.amount
             # read after the sender's write, which a payment to oneself sees
@@ -348,8 +352,10 @@ class TxIndices:
         burned = self._validate_utxo_spend(tx.sender, body)
         if isinstance(burned, TxReject):
             return burned
-        if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
-            return TxReject.BAD_SIGNATURE
+        if tx.verified_by is not scheme:
+            if not scheme.verify(tx.sender, tx.signing_bytes, tx.signature):
+                return TxReject.BAD_SIGNATURE
+            object.__setattr__(tx, "verified_by", scheme)
         utxos = self._utxos
         for op in body.inputs:
             utxos[op] = None
@@ -761,6 +767,8 @@ class ChainState:
         candidate takes the path candidate_block_valid takes, under its own
         hash, which reuses the post-state stored while it was proposed or
         witnessed; the block's own snapshot is that one plus the coinbase.
+        The certificate's signatures are verified unless the mint already did
+        under this scheme (certified_by); its other checks always run.
         """
         txs = block.transactions
         cut = next((i for i, tx in enumerate(txs) if tx.is_coinbase()), len(txs))
@@ -782,10 +790,11 @@ class ChainState:
         if len(keys) != len(sigs) or block.proposer.public_key in keys:
             return BlockReject.BAD_WITNESS
         message = enc_u256(candidate.block_hash)
+        verified = block.certified_by is self.scheme  # by the mint
         for node, sig in sigs:
             if not is_eligible_witness(block.proposer, node, self.cfg):
                 return BlockReject.BAD_WITNESS
-            if not self.scheme.verify(node, message, sig):
+            if not verified and not self.scheme.verify(node, message, sig):
                 return BlockReject.BAD_WITNESS
 
         reason = self._apply_txs(candidate, parent)

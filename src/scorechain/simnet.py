@@ -35,7 +35,6 @@ from .core_types import (
     MAX_HASH,
     NodeId,
     Outpoint,
-    SignatureScheme,
     Transaction,
     TxModel,
     TxOutput,
@@ -693,51 +692,11 @@ _STRATEGY_CLASS = {
 # ---------------------------------------------------------------------------
 
 
-class _VerifiedMemo(SignatureScheme):
-    """A simulator's scheme: the plain one, remembering what verified.
-
-    Every node of one simulated network checks the same signed bytes, so a
-    (public key, message, signature) triple that verified once is answered
-    from a store afterwards. A failed check is never stored: a bad signature
-    reaches the plain scheme on every call, and only valid signatures grow
-    the store. keypair and sign delegate unchanged.
-
-    The store is a HeightCache written only through put, so every triple is
-    filed, at `height`, which the simulator keeps at its lowest node head. It
-    is dropped with the rest of the simulator's shared stores once that
-    falls below their horizon; no checkpoint keeps one. A dropped triple
-    that is asked about again is verified again.
-    """
-
-    def __init__(self, plain: SignatureScheme) -> None:
-        self.plain = plain
-        self.name = plain.name
-        self.height = 0
-        self.store = HeightCache()  # verified triple -> True
-
-    def keypair(self, seed: bytes) -> tuple[bytes, NodeId]:
-        return self.plain.keypair(seed)
-
-    def sign(self, secret: bytes, message: bytes) -> bytes:
-        return self.plain.sign(secret, message)
-
-    def verify(self, public: NodeId, message: bytes, signature: bytes) -> bool:
-        triple = (public.public_key, message, signature)
-        if triple in self.store:
-            return True
-        if not self.plain.verify(public, message, signature):
-            return False
-        self.store.put(self.height, triple, True)
-        return True
-
-
 class Simulator:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        # verified signatures, like the two stores below, are shared by every
-        # node and held only down to the horizon (_prune)
-        self.scheme = _VerifiedMemo(get_scheme(cfg.scheme))
+        self.scheme = get_scheme(cfg.scheme)
         self.report = SimReport(seed=cfg.seed, config=cfg.to_dict())
         # tick -> (kind, payload) events in scheduling order
         self._queue: defaultdict[int, list] = defaultdict(list)
@@ -759,6 +718,7 @@ class Simulator:
         self.node_ids = node_ids
 
         self.genesis_indices = self._build_alloc()
+        # shared by every node and held only down to the horizon (_prune)
         self.snapshot_store = HeightCache()
         self.verdict_cache = HeightCache()
         self._horizon = 0
@@ -863,7 +823,8 @@ class Simulator:
         return self.report
 
     def _prune(self) -> None:
-        """Move the shared stores' horizon up with the lowest node head.
+        """Move the horizon of the block snapshots and verdicts the nodes
+        share up with the lowest node head.
 
         Every node's head is at or above the lowest, and a block more than
         confirm_depth below a head is settled unless a longer branch
@@ -871,14 +832,12 @@ class Simulator:
         for again; a miss costs a recomputation, never an answer.
         """
         lowest = min([node.state.head.height for node in self.nodes])
-        self.scheme.height = lowest
         horizon = lowest - self.cfg.chain.confirm_depth - HORIZON_SLACK
         if horizon <= self._horizon:
             return
         self._horizon = horizon
         self.snapshot_store.drop_below(horizon)
         self.verdict_cache.drop_below(horizon)
-        self.scheme.store.drop_below(horizon)
 
     def _deliver(self, target: int, sender: int, message) -> None:
         node = self.nodes[target]

@@ -228,7 +228,8 @@ def mint_block(
     fewer than m survivors exist. The minted block carries the candidate's
     transactions followed by exactly what coinbase_rule returns for the kept
     witnesses; system_nonce is the system account's next nonce at the
-    candidate's parent.
+    candidate's parent. The block is marked certified_by scheme, so a ledger
+    on that scheme does not verify its certificate again.
     """
     message = enc_u256(candidate.block_hash)
     proposer = candidate.proposer
@@ -252,7 +253,10 @@ def mint_block(
     if coinbase_rule is not None:
         witnesses = tuple(node for node, _ in certificate)
         coinbase = coinbase_rule(candidate, witnesses, system_nonce)
-    if not coinbase:
-        return certify(candidate, certificate)
-    transactions = candidate.transactions + coinbase
-    return Block(candidate.parent_hash, candidate.height, proposer, transactions, certificate)
+    if coinbase:
+        transactions = candidate.transactions + coinbase
+        block = Block(candidate.parent_hash, candidate.height, proposer, transactions, certificate)
+    else:
+        block = certify(candidate, certificate)
+    object.__setattr__(block, "certified_by", scheme)
+    return block

@@ -63,7 +63,7 @@ def scratch_file(tmp_path_factory):
 def load(sim: Simulator, path) -> ChainState:
     return ChainState.load_chain(
         sim.cfg.chain,
-        sim.scheme.plain,
+        sim.scheme,
         str(path),
         sim.genesis_indices,
         coinbase_rule=sim.coinbase_rule,

@@ -23,16 +23,24 @@ from scorechain.analysis import (
 )
 from scorechain.cli import Check, _three_sigma_ok, main as cli_main
 from scorechain.core_types import (
+    AccountBody,
     ChainConfig,
     Ed25519Scheme,
     HashStubScheme,
     MAX_HASH,
+    SignatureScheme,
     Transaction,
     TxModel,
+    certify,
+    deserialize_block,
+    deserialize_transaction,
+    enc_u256,
     get_scheme,
+    make_transaction,
+    serialize_block,
 )
-from scorechain.incentive import RewardSchedule
-from scorechain.ledger import ChainState
+from scorechain.incentive import RewardSchedule, make_coinbase_rule
+from scorechain.ledger import ChainState, TxReject, fund_accounts
 from scorechain.simnet import (
     LatencySpec,
     SIM_WITNESS_THRESHOLD,
@@ -45,9 +53,11 @@ from scorechain.simnet import (
     run_trials,
     witness_corruption_trials,
 )
+from scorechain.witness import endorse, mint_block, propose_block
 from test_golden_reports import run_recorded
 
 SMALL = SimConfig(n_nodes=10, duration=80, tx_rate=1.0, seed=5)
+STUB = get_scheme("stub")
 
 
 # -- configuration -----------------------------------------------------------------
@@ -410,7 +420,7 @@ def test_honest_ed25519_run_signs_only_what_it_reads(monkeypatch):
     assert len(signs) == report.txs_injected + minted
 
 
-# -- the simulator's verified-signature memo ------------------------------------------
+# -- signature checks kept on the objects they check ------------------------------------
 
 
 def count_verifies(monkeypatch, cls):
@@ -427,7 +437,7 @@ def count_verifies(monkeypatch, cls):
     return calls
 
 
-def test_memo_verifies_each_valid_signature_once(monkeypatch):
+def test_each_signature_is_verified_once_per_run(monkeypatch):
     calls = count_verifies(monkeypatch, Ed25519Scheme)
     cfg = replace(
         SMALL,
@@ -439,45 +449,18 @@ def test_memo_verifies_each_valid_signature_once(monkeypatch):
         rewards=RewardSchedule(50, 10),
     )
     sim = Simulator(cfg)
-    asked = count_verifies(monkeypatch, type(sim.scheme))
     assert sim.run().blocks_minted > 0
-    verified = [triple for triple, ok in calls if ok]
-    assert len(verified) == len(set(verified)) > 0
-    assert set(sim.scheme.store) == set(verified)
-    # every node checks the same signatures, so most questions are repeats
-    assert len(asked) > 2 * len(calls)
-
-
-def test_memo_never_remembers_a_failed_check(monkeypatch):
-    calls = count_verifies(monkeypatch, HashStubScheme)
-    memo = Simulator(SMALL).scheme
-    secret, node_id = memo.keypair(b"memo")
-    signature = memo.sign(secret, b"payload")
-    tampered = bytes([signature[0] ^ 1]) + signature[1:]
-    assert [memo.verify(node_id, b"payload", tampered) for _ in range(3)] == [False] * 3
-    assert len(calls) == 3
-    assert memo.verify(node_id, b"payload", signature)
-    assert memo.verify(node_id, b"payload", signature)
-    assert len(calls) == 4
-    assert set(memo.store) == {(node_id.public_key, b"payload", signature)}
-
-
-def test_each_simulator_has_its_own_memo(monkeypatch):
-    calls = count_verifies(monkeypatch, HashStubScheme)
-    first, second = Simulator(SMALL).scheme, Simulator(SMALL).scheme
-    secret, node_id = first.keypair(b"memo")
-    signature = first.sign(secret, b"payload")
-    assert first.verify(node_id, b"payload", signature)
-    assert set(second.store) == set()
-    assert second.verify(node_id, b"payload", signature)
-    assert len(calls) == 2
+    # every node holds the same transaction and block objects, so the first
+    # check of a signature marks it for all of them
+    triples = [triple for triple, _ in calls]
+    assert len(triples) == len(set(triples)) > 0
 
 
 def test_get_scheme_stays_uncached(monkeypatch):
     calls = count_verifies(monkeypatch, HashStubScheme)
     plain = get_scheme("stub")
     assert type(plain) is HashStubScheme
-    assert Simulator(SMALL).scheme.plain is plain
+    assert Simulator(SMALL).scheme is plain
     secret, node_id = plain.keypair(b"memo")
     signature = plain.sign(secret, b"payload")
     assert plain.verify(node_id, b"payload", signature)
@@ -485,15 +468,110 @@ def test_get_scheme_stays_uncached(monkeypatch):
     assert len(calls) == 2
 
 
+def stub_parties(n=4):
+    return [STUB.keypair(b"slot" + bytes([i])) for i in range(n)]
+
+
+def payment(parties, index, nonce=0):
+    secret, sender = parties[index]
+    body = AccountBody(parties[(index + 1) % len(parties)][1], 1, nonce)
+    return make_transaction(STUB, secret, sender, body)
+
+
+def test_a_failed_signature_check_is_never_marked(monkeypatch):
+    calls = count_verifies(monkeypatch, HashStubScheme)
+    parties = stub_parties()
+    indices = fund_accounts({nid: 10 for _, nid in parties})
+    tx = payment(parties, 0)
+    tampered = Transaction(tx.sender, tx.body, bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+    for _ in range(2):
+        assert indices.validate_tx(tampered, STUB) is TxReject.BAD_SIGNATURE
+    assert len(calls) == 2 and tampered.verified_by is None
+    assert indices.clone().validate_tx(tx, STUB) is None
+    assert indices.clone().validate_tx(tx, STUB) is None
+    assert len(calls) == 3 and tx.verified_by is STUB
+
+
+class CountingVerifier(SignatureScheme):
+    """The stub scheme under another identity, counting its verify calls."""
+
+    name = "stub"
+
+    def __init__(self):
+        self.verifies = 0
+
+    def keypair(self, seed):
+        return STUB.keypair(seed)
+
+    def sign(self, secret, message):
+        return STUB.sign(secret, message)
+
+    def verify(self, public, message, signature):
+        self.verifies += 1
+        return STUB.verify(public, message, signature)
+
+
+def test_a_mark_answers_only_its_own_scheme():
+    parties = stub_parties()
+    indices = fund_accounts({nid: 10 for _, nid in parties})
+    tx = payment(parties, 0)
+    assert indices.clone().validate_tx(tx, STUB) is None
+    assert tx.verified_by is STUB
+    other = CountingVerifier()
+    assert indices.clone().validate_tx(tx, other) is None
+    assert other.verifies == 1 and tx.verified_by is other
+
+
+def test_a_decoded_transaction_starts_unverified():
+    parties = stub_parties()
+    tx = payment(parties, 0)
+    assert fund_accounts({nid: 10 for _, nid in parties}).validate_tx(tx, STUB) is None
+    assert tx.verified_by is STUB
+    decoded = deserialize_transaction(tx.canonical_bytes)
+    assert decoded == tx and decoded.verified_by is None
+
+
+@pytest.mark.parametrize("rewards", [False, True], ids=["certified", "coinbase"])
+def test_only_the_minted_object_skips_its_certificate_check(monkeypatch, rewards):
+    calls = count_verifies(monkeypatch, HashStubScheme)
+    cfg = ChainConfig()
+    parties = stub_parties()
+    funded = fund_accounts({nid: 10 for _, nid in parties})
+    rule = make_coinbase_rule(RewardSchedule(50, 10), TxModel.ACCOUNT) if rewards else None
+
+    def fresh():
+        return ChainState(cfg, STUB, funded, coinbase_rule=rule)
+
+    txs = [payment(parties, i) for i in range(len(parties))]
+    candidate = propose_block(parties[0][1], fresh(), txs, cfg)
+    assert candidate is not None and candidate.certified_by is None
+    sigs = [endorse(STUB, secret, wid, candidate) for secret, wid in parties[1:]]
+    block = mint_block(candidate, sigs, cfg, STUB, coinbase_rule=rule)
+    assert block is not None and block.certified_by is STUB
+    assert certify(block, block.witness_sigs).certified_by is None
+    message = enc_u256(candidate.block_hash)
+
+    def certificate_checks():
+        return sum(triple[1] == message for triple, _ in calls)
+
+    before = certificate_checks()
+    assert fresh().apply_block(block).stored
+    assert certificate_checks() == before
+    decoded = deserialize_block(serialize_block(block))
+    assert decoded == block and decoded.certified_by is None
+    assert fresh().apply_block(decoded).stored
+    assert certificate_checks() == before + cfg.witness_m
+
+
 # -- the shared stores' height horizon --------------------------------------------------------
 
 
 def shared_store_sizes(cfg: SimConfig) -> tuple[list[int], int]:
-    """Entries of the three stores a run's nodes share, after the run, and
-    the bytes a deep copy of all three takes (tracemalloc)."""
+    """Entries of the two stores a run's nodes share, after the run, and
+    the bytes a deep copy of both takes (tracemalloc)."""
     sim = Simulator(cfg)
     sim.run()
-    stores = (sim.snapshot_store, sim.verdict_cache, sim.scheme.store)
+    stores = (sim.snapshot_store, sim.verdict_cache)
     tracemalloc.start()
     try:
         copies = copy.deepcopy(stores)
@@ -511,9 +589,9 @@ def test_shared_stores_do_not_grow_with_height(strategy):
     short_entries, short_bytes = shared_store_sizes(replace(cfg, duration=1000))
     long_entries, long_bytes = shared_store_sizes(replace(cfg, duration=6000))
     # six times the ticks, about six times the height. Kept whole, the default
-    # run's stores held 332, 495 and 1,830 entries at 1000 ticks and 1,998,
-    # 2,946 and 10,973 at 6000; here the long run adds one checkpoint
-    # snapshot per 256 heights, and what the band above the horizon holds varies
+    # run's stores held 332 and 495 entries at 1000 ticks and 1,998 and 2,946
+    # at 6000; here the long run adds one checkpoint snapshot per 256
+    # heights, and what the band above the horizon holds varies
     for short, long in zip(short_entries, long_entries):
         assert long <= short + 16
     assert long_bytes <= 1.5 * short_bytes
@@ -526,7 +604,7 @@ def test_every_shared_entry_is_filed_at_a_height(strategy):
         cfg = replace(cfg, n_nodes=12, adversary_fraction=0.25, adversary_strategy=strategy)
     sim = Simulator(cfg)
     assert sim.run().blocks_minted > 0
-    for store in (sim.snapshot_store, sim.verdict_cache, sim.scheme.store):
+    for store in (sim.snapshot_store, sim.verdict_cache):
         assert store._filed.keys() == store.keys()
 
 
